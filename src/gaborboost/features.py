@@ -16,8 +16,8 @@ import numpy as np
 from scipy.ndimage import median_filter
 
 from .dataio import FeatureRow, GrayImage, LabeledDataset
-from .errors import ConfigError
-from .gabor import GaborParams, convolve, make_kernel
+from .errors import ConfigError, SizeError
+from .gabor import GaborParams, block_scores, convolve, make_kernel
 from .util import parallel_map
 
 # Quadrant ratios are guarded against empty quadrants by this epsilon.
@@ -57,7 +57,7 @@ def default_grid(width: int, height: int) -> ParamGrid:
     sx = tuple(s for s in SIGMA_X_CANDIDATES if s <= width / 4)
     sy = tuple(s for s in SIGMA_Y_CANDIDATES if s <= height / 3)
     if not sx or not sy:
-        raise ValueError(f"image {width}x{height} too small for any grid cell")
+        raise SizeError(f"image {width}x{height} too small for any grid cell")
     lam = tuple(2.0 * math.pi / period for period in sorted(WAVELENGTH_CANDIDATES, reverse=True))
     return ParamGrid(sigma_x=sx, sigma_y=sy, lam=lam)
 
@@ -79,21 +79,6 @@ def flatten_background(img: GrayImage) -> GrayImage:
     return GrayImage(img.data - level)
 
 
-def response_score(img: GrayImage, params: GaborParams) -> float:
-    """Score one grid cell: response-field norm with a bandwidth correction.
-
-    The raw field norm grows monotonically as either sigma shrinks (a
-    narrower envelope has a wider passband and collects more of the
-    spectrum), so comparing it across cells always favours the smallest
-    envelope on the grid.  Scaling by (sigma_x * sigma_y)**0.25 removes
-    that bias for a Gaussian packet: the per-axis score then peaks where
-    the kernel sigma matches the packet sigma.
-    """
-    kernel = make_kernel(params, dc_correct=True)
-    field = convolve(img, kernel)
-    return float(np.linalg.norm(field)) * (params.sigma_x * params.sigma_y) ** 0.25
-
-
 @dataclass(frozen=True)
 class GridResult:
     """Winning cell of a grid search."""
@@ -109,25 +94,40 @@ class GridResult:
         return GaborParams(sigma_x=self.sigma_x, sigma_y=self.sigma_y, lam=self.lam)
 
 
-def grid_optimize(img: GrayImage, grid: ParamGrid) -> GridResult:
-    """Exhaustive search over the full grid.
+def _scan(
+    img: GrayImage,
+    sigma_xs: tuple[float, ...],
+    sigma_ys: tuple[float, ...],
+    lams: tuple[float, ...],
+) -> GridResult:
+    """Best cell of the product of three axes, one ``block_scores`` call per sigma_x.
 
+    A cell scores its response-field norm times (sigma_x * sigma_y)**0.25.
+    The raw norm grows monotonically as either sigma shrinks (a narrower
+    envelope has a wider passband and collects more of the spectrum), so
+    comparing it across cells always favours the smallest envelope on the
+    grid; the factor removes that bias for a Gaussian packet, so the
+    per-axis score peaks where the kernel sigma matches the packet sigma.
     Ties break toward the earlier cell in (sigma_x, sigma_y, lam) order,
-    which the strict comparison below gives for free since every axis is
-    scanned ascending.
+    which the strict comparison gives since every axis is scanned ascending.
     """
     best_score = -math.inf
-    best = (grid.sigma_x[0], grid.sigma_y[0], grid.lam[0])
-    evals = 0
-    for sx in grid.sigma_x:
-        for sy in grid.sigma_y:
-            for lam in grid.lam:
-                score = response_score(img, GaborParams(sigma_x=sx, sigma_y=sy, lam=lam))
-                evals += 1
+    best = (sigma_xs[0], sigma_ys[0], lams[0])
+    for sx in sigma_xs:
+        norms = block_scores(img, sx, sigma_ys, lams)
+        for i, sy in enumerate(sigma_ys):
+            for j, lam in enumerate(lams):
+                score = float(norms[i, j]) * (sx * sy) ** 0.25
                 if score > best_score:
                     best_score = score
                     best = (sx, sy, lam)
+    evals = len(sigma_xs) * len(sigma_ys) * len(lams)
     return GridResult(*best, score=best_score, evaluations=evals)
+
+
+def grid_optimize(img: GrayImage, grid: ParamGrid) -> GridResult:
+    """Exhaustive search over the full grid."""
+    return _scan(img, grid.sigma_x, grid.sigma_y, grid.lam)
 
 
 def two_step_optimize(img: GrayImage, grid: ParamGrid) -> GridResult:
@@ -140,27 +140,9 @@ def two_step_optimize(img: GrayImage, grid: ParamGrid) -> GridResult:
     is len(sigma_y) * len(lam) + len(sigma_x) evaluations instead of the
     full product.
     """
-    neutral_sx = grid.sigma_x[-1]
-    best_score = -math.inf
-    best_sy, best_lam = grid.sigma_y[0], grid.lam[0]
-    evals = 0
-    for sy in grid.sigma_y:
-        for lam in grid.lam:
-            score = response_score(img, GaborParams(sigma_x=neutral_sx, sigma_y=sy, lam=lam))
-            evals += 1
-            if score > best_score:
-                best_score = score
-                best_sy, best_lam = sy, lam
-
-    best_score = -math.inf
-    best_sx = grid.sigma_x[0]
-    for sx in grid.sigma_x:
-        score = response_score(img, GaborParams(sigma_x=sx, sigma_y=best_sy, lam=best_lam))
-        evals += 1
-        if score > best_score:
-            best_score = score
-            best_sx = sx
-    return GridResult(best_sx, best_sy, best_lam, score=best_score, evaluations=evals)
+    first = _scan(img, grid.sigma_x[-1:], grid.sigma_y, grid.lam)
+    second = _scan(img, grid.sigma_x, (first.sigma_y,), (first.lam,))
+    return replace(second, evaluations=first.evaluations + second.evaluations)
 
 
 def integral_image(field: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import fft, fftn, ifft, ifftn, next_fast_len
 
 from .dataio import GrayImage
 from .errors import SizeError
@@ -91,6 +91,29 @@ def _convolve_direct_valid(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray
     return out
 
 
+def _check_extent(kh: int, kw: int, img: GrayImage) -> None:
+    if kh > 3 * img.height or kw > 3 * img.width:
+        raise SizeError(
+            f"kernel {kw}x{kh} exceeds 3x image extent {img.width}x{img.height}"
+        )
+
+
+def _convolve_fft_valid(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """FFT convolution, 'valid' output size.
+
+    The steps and transform sizes are those of
+    ``scipy.signal.fftconvolve(padded, kernel, mode="valid")`` for complex
+    inputs, so the output is bitwise identical to it; importing
+    ``scipy.signal`` would cost about a second of start-up.
+    """
+    kh, kw = kernel.shape
+    full = [n + k - 1 for n, k in zip(padded.shape, kernel.shape)]
+    fshape = [next_fast_len(n) for n in full]
+    spectrum = fftn(padded, fshape) * fftn(kernel, fshape)
+    out = ifftn(spectrum, fshape)
+    return out[kh - 1 : padded.shape[0], kw - 1 : padded.shape[1]].copy()
+
+
 def convolve(img: GrayImage, kernel: ComplexKernel, backend: str = "fft") -> np.ndarray:
     """Same-size convolution of ``img`` with ``kernel``.
 
@@ -98,13 +121,10 @@ def convolve(img: GrayImage, kernel: ComplexKernel, backend: str = "fft") -> np.
     same quantity by independent methods and agree to float precision.
     """
     kh, kw = kernel.values.shape
-    if kh > 3 * img.height or kw > 3 * img.width:
-        raise SizeError(
-            f"kernel {kw}x{kh} exceeds 3x image extent {img.width}x{img.height}"
-        )
+    _check_extent(kh, kw, img)
     padded = _pad_reflect(img.data, kernel.half_height, kernel.half_width)
     if backend == "fft":
-        return fftconvolve(padded.astype(np.complex128), kernel.values, mode="valid")
+        return _convolve_fft_valid(padded.astype(np.complex128), kernel.values)
     if backend == "direct":
         return _convolve_direct_valid(padded.astype(np.complex128), kernel.values)
     raise ValueError(f"unknown convolution backend {backend!r}")
@@ -120,3 +140,74 @@ def response_norm(
     kernel = make_kernel(p, dc_correct=dc_correct)
     resp = convolve(img, kernel, backend=backend)
     return float(np.linalg.norm(resp))
+
+
+def block_scores(
+    img: GrayImage,
+    sigma_x: float,
+    sigma_ys: tuple[float, ...],
+    lams: tuple[float, ...],
+) -> np.ndarray:
+    """Field norms of a block of theta=0, DC-corrected kernels sharing ``sigma_x``.
+
+    Entry [i, j] is ``response_norm(img, GaborParams(sigma_x, sigma_ys[i],
+    lam=lams[j]))`` up to rounding.  At theta=0 the kernel factors as
+    ``norm * outer(gy, gx) - c``: a real vertical Gaussian ``gy``, a complex
+    horizontal carrier ``gx``, and the DC-correction constant
+    ``c = norm * mean(gy) * mean(Re gx)``.  So the whole block needs only
+    1-D transforms: one row FFT of the image, one inverse per lam, one
+    column FFT per lam, one inverse per (sigma_y, lam), and a box sum of the
+    padded image for the constant term.  Raises ``SizeError`` exactly when
+    ``convolve`` would for some kernel of the block.
+    """
+    # Validate every cell as its own kernel would be, so bad grids fail alike.
+    for sy in sigma_ys:
+        for lam in lams:
+            GaborParams(sigma_x=sigma_x, sigma_y=sy, lam=lam)
+    height, width = img.data.shape
+    hw = math.ceil(SUPPORT_SIGMAS * sigma_x)
+    hhs = [math.ceil(SUPPORT_SIGMAS * sy) for sy in sigma_ys]
+    hmax = max(hhs)
+    _check_extent(2 * hmax + 1, 2 * hw + 1, img)
+
+    # The image is worked on transposed, axis 0 = x and axis 1 = y, so the
+    # y transforms, the most numerous, run along the contiguous axis.
+    # x step: filter the x-padded columns with every carrier at once.
+    # Output x reads padded x .. x + 2*hw, which is also what the circular
+    # convolution at index x + 2*hw reads, so the padded length never wraps.
+    dx = np.arange(-hw, hw + 1, dtype=np.float64)
+    env_x = np.exp(-(dx**2) / (2.0 * sigma_x**2))
+    lam_col = np.asarray(lams, dtype=np.float64)[:, None]
+    gx = env_x * np.exp(1j * lam_col * dx)
+    mean_re_gx = (env_x * np.cos(lam_col * dx)).mean(axis=1)
+    xpad = np.pad(img.data.T, ((hw, hw), (0, 0)), mode="symmetric")
+    nx = next_fast_len(xpad.shape[0])
+    spectra = fft(xpad, nx, axis=0)[None] * fft(gx, nx, axis=1)[:, :, None]
+    xfield = ifft(spectra, axis=1)[:, 2 * hw : 2 * hw + width]
+
+    # y step: the symmetric padding by a smaller half-height is a crop of
+    # the padding by hmax, so one transform per lam serves every sigma_y.
+    # Output y reads padded y + top .. y + top + 2*hh, with top = hmax - hh,
+    # which again never wraps.
+    y_map = np.pad(np.arange(height), hmax, mode="symmetric")
+    ny = next_fast_len(height + 2 * hmax)
+    y_spectra = fft(xfield[:, :, y_map], ny, axis=2)
+
+    # Box sums of the padded image over the kernel support, for the DC term:
+    # width-(2*hw+1) sums along x, then cumulated along y.
+    csum = np.cumsum(xpad[:, y_map], axis=0)
+    x_sums = csum[2 * hw :] - np.pad(csum[: width - 1], ((1, 0), (0, 0)))
+    y_csum = np.pad(np.cumsum(x_sums, axis=1), ((0, 0), (1, 0)))
+
+    scores = np.empty((len(sigma_ys), len(lams)))
+    for i, (sy, hh) in enumerate(zip(sigma_ys, hhs)):
+        dy = np.arange(-hh, hh + 1, dtype=np.float64)
+        gy = np.exp(-(dy**2) / (2.0 * sy**2))
+        norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_x * sy)
+        top = hmax - hh
+        box = y_csum[:, top + 2 * hh + 1 : top + 2 * hh + 1 + height] - y_csum[:, top : top + height]
+        field = ifft(y_spectra * fft(norm * gy, ny), axis=2, overwrite_x=True)
+        field = field[:, :, top + 2 * hh : top + 2 * hh + height]
+        field -= (norm * gy.mean() * mean_re_gx)[:, None, None] * box
+        scores[i] = np.sqrt((field.real**2 + field.imag**2).sum(axis=(1, 2)))
+    return scores

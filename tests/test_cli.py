@@ -82,6 +82,17 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_tabularize_tiny_images_reports_error(tmp_path, capsys):
+    assert main(["generate", "--out", str(tmp_path), "--width", "6", "--height", "6",
+                 "--longitudinal", "2", "--partial", "1", "--vortex", "1"]) == 0
+    capsys.readouterr()
+    rc = main(["tabularize", "--data", str(tmp_path), "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too small" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_pipeline_smoke(tmp_path, capsys):
     """generate -> tabularize -> train -> explain -> evaluate -> cv."""
     data = tmp_path / "data"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaborboost.dataio import GrayImage, LabeledDataset, flip_horizontal
-from gaborboost.errors import ConfigError
+from gaborboost.errors import ConfigError, SizeError
 from gaborboost.features import (
     ParamGrid,
     box_sum,
@@ -19,6 +19,8 @@ from gaborboost.features import (
     tabularize,
     two_step_optimize,
 )
+from gaborboost.gabor import GaborParams, response_norm
+from gaborboost.synthgen import SynthSpec, generate
 
 
 def gabor_packet(width, height, xc, yc, sigma_x, sigma_y, lam, amp=1.0):
@@ -59,7 +61,7 @@ def test_default_grid_filters_large_cells():
 
 
 def test_default_grid_too_small():
-    with pytest.raises(ValueError, match="too small"):
+    with pytest.raises(SizeError, match="too small"):
         default_grid(4, 4)
 
 
@@ -130,6 +132,61 @@ def test_argmax_invariant_under_intensity_scaling():
         scaled.lam,
     )
     assert scaled.score == pytest.approx(2.0 * base.score, rel=1e-12)
+
+
+def _oracle_scan(img, cells):
+    """Brute-force argmax of the bandwidth-corrected response norm, first cell on ties."""
+    best, best_score = cells[0], -math.inf
+    for sx, sy, lam in cells:
+        score = response_norm(img, GaborParams(sx, sy, lam=lam)) * (sx * sy) ** 0.25
+        if score > best_score:
+            best, best_score = (sx, sy, lam), score
+    return best, best_score
+
+
+def test_optimizers_match_brute_force_oracle():
+    dataset, _ = generate(SynthSpec(96, 48, 2, 2, 2, noise_sigma=0.02, seed=5))
+    grid = default_grid(96, 48)
+    for index, image in enumerate(dataset.images):
+        img = flatten_background(image)
+        (_, sy, lam), _ = _oracle_scan(
+            img, [(grid.sigma_x[-1], sy, lam) for sy in grid.sigma_y for lam in grid.lam]
+        )
+        expected_two, score_two = _oracle_scan(img, [(sx, sy, lam) for sx in grid.sigma_x])
+        two = two_step_optimize(img, grid)
+        assert (two.sigma_x, two.sigma_y, two.lam) == expected_two
+        assert two.score == pytest.approx(score_two, rel=1e-12)
+        if index % 3 == 0:
+            cells = [(sx, sy, lam) for sx in grid.sigma_x for sy in grid.sigma_y for lam in grid.lam]
+            expected_full, score_full = _oracle_scan(img, cells)
+            full = grid_optimize(img, grid)
+            assert (full.sigma_x, full.sigma_y, full.lam) == expected_full
+            assert full.score == pytest.approx(score_full, rel=1e-12)
+
+
+def test_optimizers_pick_first_cell_on_constant_image():
+    grid = default_grid(64, 32)
+    flat = flatten_background(GrayImage(np.full((32, 64), 0.7)))
+    first = (grid.sigma_x[0], grid.sigma_y[0], grid.lam[0])
+    for optimize in (two_step_optimize, grid_optimize):
+        result = optimize(flat, grid)
+        assert (result.sigma_x, result.sigma_y, result.lam) == first
+        assert result.score == 0.0
+    row = extract_features(GrayImage(np.full((32, 64), 0.7)), "c", "lbl", grid=grid)
+    assert (row.sigma_x, row.sigma_y, row.lam) == first
+
+
+def test_optimizers_raise_size_error_like_convolve():
+    """A cell whose kernel exceeds 3x the image extent fails the whole search."""
+    img = gabor_packet(40, 12, 20, 6, 2.0, 2.0, 1.0)
+    tall = ParamGrid(sigma_x=(2.0,), sigma_y=(2.0, 5.0, 6.0), lam=(1.0,))
+    wide = ParamGrid(sigma_x=(2.0, 20.0), sigma_y=(2.0,), lam=(1.0,))
+    for optimize in (two_step_optimize, grid_optimize):
+        for grid in (tall, wide):
+            with pytest.raises(SizeError, match="exceeds 3x image extent"):
+                optimize(img, grid)
+        fits = optimize(img, ParamGrid(sigma_x=(2.0, 4.0), sigma_y=(2.0, 5.0), lam=(1.0,)))
+        assert fits.evaluations == 4
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,15 @@ import pytest
 
 from gaborboost.dataio import GrayImage
 from gaborboost.errors import SizeError
-from gaborboost.gabor import GaborParams, convolve, make_kernel, response_norm
+from gaborboost.features import default_grid, flatten_background
+from gaborboost.gabor import (
+    GaborParams,
+    _pad_reflect,
+    block_scores,
+    convolve,
+    make_kernel,
+    response_norm,
+)
 
 
 def test_params_validation():
@@ -115,6 +123,27 @@ def test_convolve_backend_equivalence():
         np.testing.assert_allclose(direct, fft, atol=1e-9 * max(1.0, fft.max()))
 
 
+def test_fft_backend_bitwise_matches_fftconvolve():
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        h = int(rng.integers(6, 70))
+        w = int(rng.integers(6, 130))
+        img = GrayImage(rng.standard_normal((h, w)))
+        cap = min(h, w) / 3.0
+        p = GaborParams(
+            sigma_x=rng.uniform(0.5, cap),
+            sigma_y=rng.uniform(0.5, cap),
+            theta=rng.uniform(0.0, 2.0 * math.pi),
+            lam=rng.uniform(0.0, 1.5),
+        )
+        k = make_kernel(p, dc_correct=True)
+        padded = _pad_reflect(img.data, k.half_height, k.half_width)
+        expected = fftconvolve(padded.astype(np.complex128), k.values, mode="valid")
+        assert np.array_equal(convolve(img, k), expected)
+
+
 def test_convolve_unknown_backend():
     img = GrayImage(np.ones((4, 4)))
     k = make_kernel(GaborParams(sigma_x=1.0, sigma_y=1.0))
@@ -151,3 +180,51 @@ def test_response_norm_matches_brute_force():
     resp = convolve(img, k)
     brute = math.sqrt(sum(abs(v) ** 2 for v in resp.ravel()))
     assert response_norm(img, p) == pytest.approx(brute, rel=1e-12)
+
+
+def _oracle_block(img, sigma_x, sigma_ys, lams):
+    return np.array(
+        [[response_norm(img, GaborParams(sigma_x, sy, lam=lam)) for lam in lams] for sy in sigma_ys]
+    )
+
+
+@pytest.mark.parametrize("width,height", [(96, 48), (128, 64), (160, 80), (192, 96)])
+def test_block_scores_match_response_norm(width, height):
+    rng = np.random.default_rng(width)
+    img = flatten_background(GrayImage(rng.random((height, width))))
+    grid = default_grid(width, height)
+    for sx in grid.sigma_x:
+        fast = block_scores(img, sx, grid.sigma_y, grid.lam)
+        assert fast.shape == (len(grid.sigma_y), len(grid.lam))
+        np.testing.assert_allclose(fast, _oracle_block(img, sx, grid.sigma_y, grid.lam), rtol=1e-12)
+
+
+def test_block_scores_half_height_beyond_image():
+    """sigma_y=5 needs 15 rows of padding on each side of a 12-row image."""
+    rng = np.random.default_rng(12)
+    img = GrayImage(rng.standard_normal((12, 40)))
+    sigma_ys, lams = (1.0, 2.0, 5.0), (0.0, 0.5, 2.0)
+    for sx in (1.5, 4.0):
+        fast = block_scores(img, sx, sigma_ys, lams)
+        np.testing.assert_allclose(fast, _oracle_block(img, sx, sigma_ys, lams), rtol=1e-12)
+
+
+def test_block_scores_size_error_matches_convolve():
+    img = GrayImage(np.ones((6, 10)))
+    for sx in (1.0, 3.0, 4.0, 6.0):
+        for sy in (1.0, 2.0, 3.0, 4.0):
+            try:
+                convolve(img, make_kernel(GaborParams(sx, sy, lam=0.5), dc_correct=True))
+            except SizeError:
+                with pytest.raises(SizeError):
+                    block_scores(img, sx, (1.0, sy), (0.5,))
+            else:
+                block_scores(img, sx, (1.0, sy), (0.5,))
+
+
+def test_block_scores_rejects_invalid_cells():
+    img = GrayImage(np.ones((12, 12)))
+    with pytest.raises(ValueError):
+        block_scores(img, 1.0, (1.0, -2.0), (0.5,))
+    with pytest.raises(ValueError):
+        block_scores(img, 1.0, (1.0,), (0.5, float("nan")))
