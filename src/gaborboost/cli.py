@@ -214,8 +214,9 @@ def _cmd_fit_physics(args: argparse.Namespace) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
+    config = _train_config(args)
     rows = dataio.read_feature_table(args.table)
-    ens, dropped = harness.train_final(rows, args.features, _train_config(args))
+    ens, dropped = harness.train_final(rows, args.features, config)
     ebm.save_model(ens, args.out)
     note = f" ({dropped} rows dropped)" if dropped else ""
     print(f"trained {len(ens.classes)}-class model on {len(rows) - dropped} rows{note}; "
@@ -268,10 +269,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def _cmd_cv(args: argparse.Namespace) -> None:
+    config = _train_config(args)
     rows = dataio.read_feature_table(args.table)
     report = harness.run_cv(
         rows, args.features, repeats=args.repeats, k=args.k,
-        seed=args.seed, config=_train_config(args),
+        seed=args.seed, config=config,
     )
     print(harness.format_report_table(report))
     if args.out:

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError
-from .util import parallel_map
+# Serial: boosting holds the GIL and loses in threads; perfbench wraps this name per model.
+from .util import serial_map as parallel_map
 
 SCHEMA_VERSION = 1
 PAIR_BINS = 16
@@ -35,6 +36,20 @@ class TrainConfig:
     max_bins: int = 64
     seed: int = 0
     balance: bool = False
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        for name in ("max_rounds", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 <= self.val_fraction < 1:
+            raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
+        if self.max_pairs < 0:
+            raise ConfigError(f"max_pairs must be at least 0, got {self.max_pairs}")
+        if self.max_bins < 2:
+            raise ConfigError(f"max_bins must be at least 2, got {self.max_bins}")
 
 
 @dataclass(frozen=True)
@@ -137,12 +152,10 @@ class OvrEnsemble:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; both branches are the textbook stable forms.
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _log_loss(y: np.ndarray, logit: np.ndarray, w: np.ndarray) -> float:
@@ -183,7 +196,7 @@ def _boost_terms(
     logit: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    is_val: bool | np.ndarray,
+    is_val: np.ndarray,
     term_bins: list[tuple[np.ndarray, int]],
     term_scores: list[np.ndarray],
     cfg: TrainConfig,
@@ -195,43 +208,51 @@ def _boost_terms(
     working copy).  Returns the best-validation-loss snapshot of the
     scores and the matching logit vector.
     """
-    train = ~is_val if isinstance(is_val, np.ndarray) else slice(None)
-    val = is_val if isinstance(is_val, np.ndarray) else np.zeros(len(y), dtype=bool)
-    have_val = bool(val.any())
+    train = ~is_val
+    have_val = bool(is_val.any())
+    # Train and validation rows keep their own logits, and what a term
+    # needs that no round changes (its rows' bins, the per-bin training
+    # weight) is computed once per stage.
+    y_train, w_train = y[train], w[train]
+    logit_train, logit_val = logit[train], logit[is_val]
+    terms = []
+    for bins, n_bins in term_bins:
+        bins_train = bins[train]
+        bin_w = np.bincount(bins_train, weights=w_train, minlength=n_bins)
+        # An empty bin sums no residuals, so dividing its 0 by 1 updates it by 0.
+        bin_w[bin_w <= 0] = 1.0
+        terms.append((bins_train, bins[is_val], n_bins, bin_w))
+    # The loss is read on the validation rows, or on the training rows
+    # when there are none; the logits are updated in place.
+    loss_rows = is_val if have_val else train
+    y_loss, w_loss = y[loss_rows], w[loss_rows]
+    logit_loss = logit_val if have_val else logit_train
 
     scores = [s.copy() for s in term_scores]
-    logit = logit.copy()
-    w_train = w[train]
-
-    def current_loss() -> float:
-        if have_val:
-            return _log_loss(y[val], logit[val], w[val])
-        return _log_loss(y[train], logit[train], w_train)
-
-    best_loss = current_loss()
+    best_loss = _log_loss(y_loss, logit_loss, w_loss)
     best_scores = [s.copy() for s in scores]
-    best_logit = logit.copy()
+    best_train, best_val = logit_train.copy(), logit_val.copy()
     best_round = 0
 
     for round_no in range(1, cfg.max_rounds + 1):
-        for (bins, n_bins), score in zip(term_bins, scores):
-            p = _sigmoid(logit[train])
-            residual = y[train] - p
-            bin_w = np.bincount(bins[train], weights=w_train, minlength=n_bins)
-            bin_wr = np.bincount(bins[train], weights=w_train * residual, minlength=n_bins)
-            update = np.zeros(n_bins)
-            occupied = bin_w > 0
-            update[occupied] = cfg.learning_rate * bin_wr[occupied] / bin_w[occupied]
+        for (bins_train, bins_val, n_bins, bin_w), score in zip(terms, scores):
+            residual = y_train - _sigmoid(logit_train)
+            bin_wr = np.bincount(bins_train, weights=w_train * residual, minlength=n_bins)
+            update = cfg.learning_rate * bin_wr / bin_w
             score += update
-            logit += update[bins]
-        loss = current_loss()
+            logit_train += update[bins_train]
+            logit_val += update[bins_val]
+        loss = _log_loss(y_loss, logit_loss, w_loss)
         if loss < best_loss:
             best_loss = loss
             best_scores = [s.copy() for s in scores]
-            best_logit = logit.copy()
+            best_train, best_val = logit_train.copy(), logit_val.copy()
             best_round = round_no
         elif round_no - best_round >= cfg.patience:
             break
+    best_logit = np.empty_like(logit)
+    best_logit[train] = best_train
+    best_logit[is_val] = best_val
     return best_scores, best_logit
 
 
@@ -416,7 +437,7 @@ def train_ovr(
     config: TrainConfig = TrainConfig(),
     feature_names: tuple[str, ...] | None = None,
 ) -> OvrEnsemble:
-    """One binary model per class, trained concurrently, classes sorted."""
+    """One binary model per class, trained in class order."""
     classes = tuple(sorted(set(labels)))
     label_arr = np.asarray(labels)
 

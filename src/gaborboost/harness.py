@@ -17,7 +17,8 @@ import numpy as np
 from .dataio import FeatureRow
 from .ebm import OvrEnsemble, TrainConfig, predict_ovr, train_ovr
 from .errors import ConfigError
-from .util import parallel_map
+# Serial: boosting holds the GIL and loses in threads; perfbench wraps this name per CV cell.
+from .util import serial_map as parallel_map
 
 # Per-row model inputs by feature-set name.  The grid-search scale
 # parameters stay in the table for inspection but are not model inputs;
@@ -178,6 +179,8 @@ def run_cv(
 ) -> CvReport:
     """Repeated stratified k-fold cross-validation with a fresh ensemble
     per cell; repeat r uses fold seed ``seed + r``."""
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
     matrix, names, labels, dropped = build_matrix(rows, feature_set)
     if len(labels) == 0:
         raise ConfigError("no rows left to cross-validate")

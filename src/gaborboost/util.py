@@ -1,4 +1,4 @@
-"""Small shared helpers: thread-pool mapping and key=value config files."""
+"""Small shared helpers: serial and thread-pool mapping, key=value config files."""
 
 from __future__ import annotations
 
@@ -23,6 +23,11 @@ def thread_count() -> int:
     return n
 
 
+def serial_map(fn, items):
+    """map() as a list, on the calling thread."""
+    return [fn(it) for it in items]
+
+
 def parallel_map(fn, items):
     """map() preserving order, threaded when more than one worker is allowed.
 
@@ -32,7 +37,7 @@ def parallel_map(fn, items):
     items = list(items)
     workers = min(thread_count(), len(items)) or 1
     if workers == 1:
-        return [fn(it) for it in items]
+        return serial_map(fn, items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

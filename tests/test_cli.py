@@ -7,6 +7,7 @@ import pytest
 
 from gaborboost import ebm
 from gaborboost.cli import main
+from gaborboost.dataio import FeatureRow, write_feature_table
 
 FAST_TRAIN = ["--max-rounds", "200", "--patience", "10", "--max-pairs", "0"]
 
@@ -136,3 +137,33 @@ def test_pipeline_smoke(tmp_path, capsys):
     parsed = json.loads(report.read_text())
     assert parsed["feature_set"] == "GF"
     assert len(parsed["cells"]) == 6
+
+
+@pytest.fixture
+def small_table(tmp_path):
+    """A 30-row feature table whose three classes differ in q_tl."""
+    rows = [
+        FeatureRow(f"{cls}_{i}", 4.0, 6.0, 0.785, 0.5, 0.25, float(c) + 0.01 * i, 1.26, 0.5,
+                   0.75, 2.5, 1.68, 0.992, 0.667, cls)
+        for c, cls in enumerate(("longitudinal", "partial", "vortex"))
+        for i in range(10)
+    ]
+    path = tmp_path / "features.csv"
+    write_feature_table(rows, path)
+    return path
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cv", "--repeats", "0"], "repeats"),
+    (["train", "--learning-rate", "nan"], "learning_rate"),
+    (["train", "--max-rounds", "-1"], "max_rounds"),
+    (["cv", "--val-fraction", "1.5"], "val_fraction"),
+])
+def test_bad_training_options_report_one_error(small_table, tmp_path, capsys, argv, message):
+    command, *flags = argv
+    out = tmp_path / ("report.json" if command == "cv" else "model.json")
+    rc = main([command, "--table", str(small_table), "--out", str(out), *FAST_TRAIN, *flags])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaborboost.ebm import (
     BinMap,
@@ -12,6 +15,7 @@ from gaborboost.ebm import (
     OvrEnsemble,
     TrainConfig,
     _log_loss,
+    _sigmoid,
     _val_split,
     build_bins,
     explain_global,
@@ -252,6 +256,16 @@ def test_train_rejects_bad_tables():
         train_binary(good, y, FAST, feature_names=("only_one",))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+    ("max_rounds", 0), ("patience", 0), ("val_fraction", 1.0), ("val_fraction", -0.1),
+    ("val_fraction", math.nan), ("max_pairs", -1), ("max_bins", 1),
+])
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_explain_global_shapes_align_with_bins():
     rng = np.random.default_rng(11)
     table = rng.normal(size=(200, 2))
@@ -279,3 +293,26 @@ def test_explain_global_ovr_wraps_per_class():
     assert set(bundle["per_class"]) == {"a", "b"}
     for sub in bundle["per_class"].values():
         assert {"importances", "shapes", "pairs"} <= set(sub)
+
+
+def _masked_sigmoid(z):
+    """The trainer's earlier form, one stable branch per sign mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# Signed zeros, exp's under- and overflow region, infinities, NaN, and
+# the smallest and largest subnormals.
+SIGMOID_EDGES = np.array([0.0, -0.0, 700.0, -700.0, np.inf, -np.inf, np.nan,
+                          5e-324, -5e-324, 2.225e-308, -2.225e-308])
+
+
+@given(arrays(np.float64, st.integers(0, 300),
+              elements=st.one_of(st.floats(width=64), st.floats(-40.0, 40.0))))
+def test_sigmoid_is_bitwise_the_masked_form(values):
+    z = np.concatenate([values, SIGMOID_EDGES])
+    assert np.array_equal(_sigmoid(z), _masked_sigmoid(z), equal_nan=True)

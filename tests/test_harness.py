@@ -1,8 +1,13 @@
 """Tests for the cross-validation harness and report assembly."""
 
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gaborboost import dataio, ebm, features, harness, render, synthgen
 from gaborboost.dataio import FeatureRow
 from gaborboost.ebm import TrainConfig, predict_ovr
 from gaborboost.errors import ConfigError
@@ -258,3 +263,32 @@ def test_train_final_uses_all_rows():
     matrix, names, labels, _ = build_matrix(rows, "GF")
     winners, _ = predict_ovr(ens, matrix)
     assert winners == labels
+
+
+def test_traced_spans_keep_the_benchmark_contract(monkeypatch):
+    """perfbench reads per-model and per-cell times from spans that its
+    tracer makes around calls to the name ``parallel_map`` in ebm and
+    harness; training must keep those spans and run on the calling thread."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    monkeypatch.setenv("GABORBOOST_THREADS", "2")
+    tracer = tracing.Tracer()
+    tracing.install(tracer, {"features": features, "ebm": ebm, "harness": harness,
+                             "dataio": dataio, "synthgen": synthgen, "render": render})
+    try:
+        rows = separable_rows(20)
+        harness.run_cv(rows, "GF", repeats=1, k=2, seed=0, config=LIGHT)
+        harness.train_final(rows, "GF", config=LIGHT)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    index = tracing.SpanIndex(tracer.spans)
+    models = index.named("ebm.train_binary")
+    cells = index.named("harness.cell")
+    assert len(models) == 3 * 3 and len(cells) == 2
+    assert all(index.parent_name(s) == "ebm.pool_item" for s in models)
+    assert all(index.parent_name(s) == "harness.run_cv" for s in cells)
+    assert {s.thread for s in models} == {threading.get_ident()}
