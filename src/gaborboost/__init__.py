@@ -23,7 +23,7 @@ from .features import (  # noqa: F401
     tabularize,
     two_step_optimize,
 )
-from .physfit import FitResult, dip_model, fit_image, fit_profile  # noqa: F401
+from .physfit import FitResult, dip_model, fit_image, fit_profile, fit_rows  # noqa: F401
 from .synthgen import SynthSpec, generate  # noqa: F401
 from .ebm import (  # noqa: F401
     EbmModel,

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import dataio, ebm, harness, render, synthgen
 from .errors import ConfigError, GaborboostError
 from .features import tabularize
-from .physfit import fit_image
+from .physfit import fit_rows
 from .util import parse_config_file
 
 
@@ -68,7 +68,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--out", required=True, help="feature table CSV to write")
     sp.add_argument("--mode", choices=("two_step", "full_grid"), default="two_step")
     sp.add_argument("--with-physics", action="store_true",
-                    help="also fit the dip profile model per image")
+                    help="also fit the dip profile model to each image as extracted, "
+                         "after --merge and --flip")
     sp.add_argument("--merge", action="append", default=[], metavar="OLD=NEW",
                     help="relabel a class before extraction (repeatable)")
     sp.add_argument("--flip", action="append", default=[], metavar="CLASS",
@@ -182,35 +183,25 @@ def _cmd_tabularize(args: argparse.Namespace) -> None:
             old, new = item.split("=", 1)
             merge_map[old] = new
         ds = dataio.reduce_classes(ds, merge_map, set(args.flip))
-    fitter = (lambda img: fit_image(img).params) if args.with_physics else None
-    rows = tabularize(ds, mode=args.mode, profile_fitter=fitter)
+    rows = tabularize(ds, mode=args.mode)
+    note = ""
+    if args.with_physics:
+        rows, failed = fit_rows(rows, ds.images)
+        note = f" ({failed} fits failed)"
     dataio.write_feature_table(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(rows)} rows to {args.out}{note}")
 
 
 def _cmd_fit_physics(args: argparse.Namespace) -> None:
     rows = dataio.read_feature_table(args.table)
     ds = dataio.load_dataset(args.data)
-    index = {name: i for i, name in enumerate(ds.names)}
-    import math as _math
-    from dataclasses import replace
-
-    failed = 0
-    out_rows = []
+    by_name = dict(zip(ds.names, ds.images))
     for row in rows:
-        if row.id not in index:
+        if row.id not in by_name:
             raise ConfigError(f"{args.table}: image {row.id!r} not found in {args.data}")
-        try:
-            amp, center, width, skew, offset = fit_image(ds.images[index[row.id]]).params
-        except GaborboostError:
-            amp = center = width = skew = offset = _math.nan
-            failed += 1
-        out_rows.append(
-            replace(row, pf_amp=amp, pf_center=center, pf_width=width,
-                    pf_skew=skew, pf_offset=offset)
-        )
-    dataio.write_feature_table(out_rows, args.out)
-    print(f"wrote {len(out_rows)} rows to {args.out} ({failed} fits failed)")
+    rows, failed = fit_rows(rows, [by_name[row.id] for row in rows])
+    dataio.write_feature_table(rows, args.out)
+    print(f"wrote {len(rows)} rows to {args.out} ({failed} fits failed)")
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
@@ -242,27 +233,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     names = model.models[0].feature_names
     matrix, labels, dropped = harness.matrix_from_names(rows, names)
     predicted, _ = ebm.predict_ovr(model, matrix)
-    classes = model.classes
-    unknown = sorted(set(labels) - set(classes))
-    if unknown:
-        raise ConfigError(f"{args.table}: labels {unknown} not covered by the model")
-    confusion = [[0] * len(classes) for _ in classes]
-    pos = {c: i for i, c in enumerate(classes)}
-    for true, pred in zip(labels, predicted):
-        confusion[pos[true]][pos[pred]] += 1
-    import numpy as np
-
-    accuracy, precision, recall, flags = harness.metrics(np.asarray(confusion))
-    summary = {
-        "accuracy": accuracy,
-        "precision": {c: precision[i] for i, c in enumerate(classes)},
-        "recall": {c: recall[i] for i, c in enumerate(classes)},
-        "confusion": confusion,
-        "classes": list(classes),
-        "dropped_rows": dropped,
-        "zero_division": flags,
-    }
-    print(f"accuracy {accuracy:.1f}% on {len(labels)} rows"
+    summary = harness.score(model.classes, labels, predicted)
+    summary.update(classes=list(model.classes), dropped_rows=dropped)
+    print(f"accuracy {summary['accuracy']:.1f}% on {len(labels)} rows"
           + (f" ({dropped} dropped)" if dropped else ""))
     if args.out:
         Path(args.out).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")

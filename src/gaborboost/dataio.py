@@ -195,16 +195,18 @@ def load_dataset(directory: str | Path) -> LabeledDataset:
         header = next(reader, None)
         if header != ["filename", "label"]:
             raise SchemaError(f"{manifest}: expected header filename,label, got {header}")
-        entries = []
+        entries = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
                 raise ParseError(f"{manifest}: ragged row at line {lineno}")
-            entries.append((row[0], row[1]))
-    entries.sort(key=lambda e: e[0])
+            if row[0] in entries:
+                raise ParseError(f"{manifest}: {row[0]!r} listed twice, at lines "
+                                 f"{entries[row[0]][1]} and {lineno}")
+            entries[row[0]] = (row[1], lineno)
     images, labels, names = [], [], []
-    for fname, label in entries:
+    for fname, (label, _) in sorted(entries.items()):
         images.append(load_image(directory / fname))
         labels.append(label)
         names.append(fname)

@@ -52,6 +52,15 @@ class TrainConfig:
             raise ConfigError(f"max_bins must be at least 2, got {self.max_bins}")
 
 
+def _bin_values(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Bin index of each value: finite values by their cut points, NaN
+    into the extra bin len(cuts) + 1."""
+    values = np.asarray(values, dtype=np.float64)
+    idx = np.searchsorted(cuts, values, side="right")
+    idx[np.isnan(values)] = len(cuts) + 1
+    return idx
+
+
 @dataclass(frozen=True)
 class BinMap:
     """Per-feature ascending cut points.
@@ -71,10 +80,7 @@ class BinMap:
         return len(self.cuts[feature]) + 2
 
     def bin_column(self, feature: int, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        idx = np.searchsorted(self.cuts[feature], values, side="right")
-        idx[np.isnan(values)] = len(self.cuts[feature]) + 1
-        return idx
+        return _bin_values(self.cuts[feature], values)
 
     def bin_matrix(self, table: np.ndarray) -> np.ndarray:
         out = np.empty(table.shape, dtype=np.int64)
@@ -128,11 +134,8 @@ class PairFunction:
     grid: np.ndarray  # (bins_i, bins_j) scores, missing bins last
 
     def bin_rows(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bi = np.searchsorted(self.cuts_i, table[:, self.i], side="right")
-        bi[np.isnan(table[:, self.i])] = len(self.cuts_i) + 1
-        bj = np.searchsorted(self.cuts_j, table[:, self.j], side="right")
-        bj[np.isnan(table[:, self.j])] = len(self.cuts_j) + 1
-        return bi, bj
+        return (_bin_values(self.cuts_i, table[:, self.i]),
+                _bin_values(self.cuts_j, table[:, self.j]))
 
 
 @dataclass
@@ -297,10 +300,8 @@ def train_binary(
                 w[members] = n / (2.0 * members.sum())
 
     rate = float((w * y).sum() / w.sum())
-    intercept = math.log(
-        min(max(rate, RATE_CLIP), 1.0 - RATE_CLIP)
-        / (1.0 - min(max(rate, RATE_CLIP), 1.0 - RATE_CLIP))
-    )
+    clipped = min(max(rate, RATE_CLIP), 1.0 - RATE_CLIP)
+    intercept = math.log(clipped / (1.0 - clipped))
     shapes = [ShapeFunction(i, np.zeros(bins.n_bins(i))) for i in range(d)]
     model = EbmModel(tuple(feature_names), intercept, bins, shapes, [])
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 from scipy.ndimage import median_filter
@@ -246,15 +245,12 @@ def extract_features(
     label: str,
     grid: ParamGrid | None = None,
     mode: str = "two_step",
-    profile_fitter: Callable[[GrayImage], tuple[float, float, float, float, float]] | None = None,
 ) -> FeatureRow:
     """Run the full per-image analysis and package the result as a table row.
 
     ``mode`` selects the parameter search: "two_step" (default) or
-    "full_grid".  ``profile_fitter``, when given, maps the image to the
-    five physical profile parameters (amp, center, width, skew, offset)
-    and may raise to signal a failed fit, which is recorded as NaN
-    columns.
+    "full_grid".  The row carries no profile-fit columns; add them with
+    ``physfit.fit_rows`` on the same image.
     """
     if mode not in ("two_step", "full_grid"):
         raise ConfigError(f"unknown optimizer mode {mode!r}")
@@ -272,7 +268,7 @@ def extract_features(
     )
     egf_tl_bl, egf_tr_br, egf_tl_tr, egf_bl_br = engineered_features(q_tl, q_tr, q_bl, q_br)
 
-    row = FeatureRow(
+    return FeatureRow(
         id=name,
         sigma_x=cell.sigma_x,
         sigma_y=cell.sigma_y,
@@ -290,27 +286,12 @@ def extract_features(
         label=label,
         roi_clamped=clamped,
     )
-    if profile_fitter is not None:
-        try:
-            amp, center, width, skew, offset = profile_fitter(img)
-        except Exception:
-            amp = center = width = skew = offset = math.nan
-        row = replace(
-            row,
-            pf_amp=amp,
-            pf_center=center,
-            pf_width=width,
-            pf_skew=skew,
-            pf_offset=offset,
-        )
-    return row
 
 
 def tabularize(
     dataset: LabeledDataset,
     grid: ParamGrid | None = None,
     mode: str = "two_step",
-    profile_fitter: Callable[[GrayImage], tuple[float, float, float, float, float]] | None = None,
 ) -> list[FeatureRow]:
     """Extract one feature row per dataset image, in dataset order."""
 
@@ -321,7 +302,6 @@ def tabularize(
             label=dataset.labels[index],
             grid=grid,
             mode=mode,
-            profile_fitter=profile_fitter,
         )
 
     return parallel_map(job, range(len(dataset.images)))

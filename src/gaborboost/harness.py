@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -92,6 +93,30 @@ def metrics(confusion: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, list[
         else:
             recall[c] = 100.0 * m[c, c] / row
     return float(accuracy), precision, recall, flags
+
+
+def score(classes: Sequence[str], true: Sequence[str], predicted: Sequence[str]) -> dict:
+    """Accuracy, per-class precision and recall, the integer confusion
+    matrix (true classes on rows) and zero-division flags named by class.
+
+    Raises ConfigError for true labels outside ``classes``.
+    """
+    pos = {c: i for i, c in enumerate(classes)}
+    unknown = sorted({str(t) for t in true} - set(pos))
+    if unknown:
+        raise ConfigError(f"labels {unknown} not covered by the model classes {list(classes)}")
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(true, predicted):
+        confusion[pos[t], pos[p]] += 1
+    accuracy, precision, recall, flags = metrics(confusion)
+    named = (flag.split(":") for flag in flags)
+    return {
+        "accuracy": accuracy,
+        "precision": {c: precision[i] for i, c in enumerate(classes)},
+        "recall": {c: recall[i] for i, c in enumerate(classes)},
+        "confusion": confusion.tolist(),
+        "zero_division": sorted(f"{kind}:{classes[int(i)]}" for kind, i in named),
+    }
 
 
 def matrix_from_names(
@@ -199,24 +224,8 @@ def run_cv(
         mask[test_idx] = True
         ens = train_ovr(matrix[~mask], list(labels_arr[~mask]), config, names)
         predicted, _ = predict_ovr(ens, matrix[mask])
-        confusion = np.zeros((len(classes), len(classes)))
-        index = {c: i for i, c in enumerate(classes)}
-        for true, pred in zip(labels_arr[mask], predicted):
-            confusion[index[true], index[pred]] += 1
-        accuracy, precision, recall, flags = metrics(confusion)
-        named_flags = []
-        for flag in flags:
-            kind, idx = flag.split(":")
-            named_flags.append(f"{kind}:{classes[int(idx)]}")
-        return {
-            "repeat": repeat,
-            "fold": fold_no,
-            "accuracy": accuracy,
-            "precision": {c: precision[i] for i, c in enumerate(classes)},
-            "recall": {c: recall[i] for i, c in enumerate(classes)},
-            "zero_division": sorted(named_flags),
-            "confusion": confusion.astype(int).tolist(),
-        }
+        return {"repeat": repeat, "fold": fold_no,
+                **score(classes, labels_arr[mask], predicted)}
 
     cells = parallel_map(evaluate, jobs)
 

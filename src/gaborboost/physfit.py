@@ -12,12 +12,14 @@ a damped Gauss-Newton iteration using the analytic Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import median_filter
 
-from .dataio import GrayImage
+from .dataio import PF_COLUMNS, FeatureRow, GrayImage
 from .errors import FitError
 
 MAX_ITERATIONS = 200
@@ -119,13 +121,15 @@ def fit_profile(
 ) -> FitResult:
     """Fit the dip model to a 1-D profile.
 
-    Raises FitError when the iteration lands on an unusable optimum:
-    sub-pixel width, negative amplitude, non-finite values, or a dip
-    depth indistinguishable from the residual noise.
+    Raises FitError for a flat profile, or when the iteration lands on
+    an unusable optimum: sub-pixel width, negative amplitude, non-finite
+    values, or a dip depth indistinguishable from the residual noise.
     """
     y = np.asarray(profile, dtype=np.float64)
     if y.ndim != 1 or y.size < 8:
         raise FitError(f"profile must be 1-D with at least 8 samples, got shape {y.shape}")
+    if np.ptp(y) == 0:
+        raise FitError("flat profile has no dip to fit")
     x = np.arange(y.size, dtype=np.float64)
 
     params = np.asarray(guess if guess is not None else initial_guess(y), dtype=np.float64)
@@ -193,3 +197,22 @@ def fit_image(img: GrayImage) -> FitResult:
     level, and fit the dip model to what remains."""
     profile = project(img)
     return fit_profile(profile - median_level(profile))
+
+
+def fit_rows(
+    rows: Sequence[FeatureRow], images: Sequence[GrayImage]
+) -> tuple[list[FeatureRow], int]:
+    """Fill the five profile-fit columns of each row from its image.
+
+    A FitError leaves NaN columns and counts as a failed fit; any other
+    exception propagates. Returns the new rows and the failed count.
+    """
+    out, failed = [], 0
+    for row, img in zip(rows, images, strict=True):
+        try:
+            params = fit_image(img).params
+        except FitError:
+            params = (math.nan,) * len(PF_COLUMNS)
+            failed += 1
+        out.append(replace(row, **dict(zip(PF_COLUMNS, params))))
+    return out, failed

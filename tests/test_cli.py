@@ -1,13 +1,14 @@
 """Command-line interface tests, including a small end-to-end run."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gaborboost import ebm
 from gaborboost.cli import main
-from gaborboost.dataio import FeatureRow, write_feature_table
+from gaborboost.dataio import FeatureRow, read_feature_table, write_feature_table
 
 FAST_TRAIN = ["--max-rounds", "200", "--patience", "10", "--max-pairs", "0"]
 
@@ -167,3 +168,93 @@ def test_bad_training_options_report_one_error(small_table, tmp_path, capsys, ar
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not out.exists()
+
+
+def one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.splitlines()
+    return (len(err) == 1 and err[0].startswith("error:")
+            and all(f in err[0] for f in fragments))
+
+
+@pytest.fixture
+def small_images(tmp_path):
+    """Nine 96x48 images, three per class."""
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--width", "96", "--height", "48",
+                 "--longitudinal", "3", "--partial", "3", "--vortex", "3",
+                 "--seed", "5"]) == 0
+    return data
+
+
+def test_with_physics_matches_fit_physics(small_images, tmp_path, capsys):
+    both, plain, fitted = (tmp_path / n for n in ("both.csv", "plain.csv", "fitted.csv"))
+    data = str(small_images)
+    capsys.readouterr()
+    assert main(["tabularize", "--data", data, "--out", str(both), "--with-physics"]) == 0
+    assert main(["tabularize", "--data", data, "--out", str(plain)]) == 0
+    assert main(["fit-physics", "--data", data, "--table", str(plain), "--out", str(fitted)]) == 0
+    with_physics, _, fit_physics = capsys.readouterr().out.splitlines()
+    assert both.read_bytes() == fitted.read_bytes()
+    assert with_physics.endswith(" (0 fits failed)") and fit_physics.endswith(" (0 fits failed)")
+
+
+def test_with_physics_fits_flipped_images(small_images, tmp_path):
+    """--with-physics fits the mirrored image the Gabor pass saw;
+    fit-physics fits the image as stored."""
+    flipped, stored = tmp_path / "flipped.csv", tmp_path / "stored.csv"
+    assert main(["tabularize", "--data", str(small_images), "--out", str(flipped),
+                 "--flip", "vortex", "--with-physics"]) == 0
+    assert main(["fit-physics", "--data", str(small_images), "--table", str(flipped),
+                 "--out", str(stored)]) == 0
+    mirrored = {row.id: row for row in read_feature_table(flipped)}
+    for row in read_feature_table(stored):
+        if row.label == "vortex":
+            assert mirrored[row.id].pf_center == pytest.approx(95 - row.pf_center, abs=1e-3)
+        else:
+            assert mirrored[row.id].pf_center == row.pf_center
+
+
+def test_fit_physics_unknown_image_reports_error(small_images, small_table, tmp_path, capsys):
+    out = tmp_path / "pf.csv"
+    rc = main(["fit-physics", "--data", str(small_images), "--table", str(small_table),
+               "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys, "'longitudinal_0' not found")
+    assert not out.exists()
+
+
+def test_duplicate_manifest_entry_reports_error(small_images, tmp_path, capsys):
+    manifest = small_images / "labels.csv"
+    first = manifest.read_text().splitlines()[1]
+    manifest.write_text(manifest.read_text() + first + "\n")
+    rc = main(["tabularize", "--data", str(small_images), "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert one_error_line(capsys, "listed twice", "lines 2 and 11")
+
+
+@pytest.fixture
+def small_model(small_table, tmp_path):
+    path = tmp_path / "model.json"
+    assert main(["train", "--table", str(small_table), "--out", str(path), *FAST_TRAIN]) == 0
+    return path
+
+
+def test_evaluate_names_zero_division_classes(small_model, small_table, tmp_path):
+    rows = [r for r in read_feature_table(small_table) if r.label == "longitudinal"]
+    table, scores = tmp_path / "longitudinal.csv", tmp_path / "scores.json"
+    write_feature_table(rows, table)
+    assert main(["evaluate", "--model", str(small_model), "--table", str(table),
+                 "--out", str(scores)]) == 0
+    flags = json.loads(scores.read_text())["zero_division"]
+    assert "recall:partial" in flags and "recall:vortex" in flags
+
+
+def test_evaluate_unknown_label_reports_error(small_model, small_table, tmp_path, capsys):
+    rows = read_feature_table(small_table)
+    rows[0] = replace(rows[0], label="mystery")
+    table = tmp_path / "mystery.csv"
+    write_feature_table(rows, table)
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(small_model), "--table", str(table)])
+    assert rc == 1
+    assert one_error_line(capsys, "['mystery'] not covered by the model")

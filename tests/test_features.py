@@ -318,15 +318,6 @@ def test_extract_features_row_contents():
     assert row.pf_amp is None
 
 
-def test_extract_features_failing_profile_fitter():
-    def explode(img):
-        raise RuntimeError("no dip here")
-
-    img = gabor_packet(96, 48, 48, 24, 4.0, 6.0, 1.0)
-    row = extract_features(img, "x", "lbl", profile_fitter=explode)
-    assert row.has_pf and row.pf_failed
-
-
 def test_extract_features_flip_swaps_quadrants():
     img = gabor_packet(96, 48, 40, 22, 4.0, 6.0, 2.0 * math.pi / 8.0)
     # break the vertical symmetry so quadrants differ

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from gaborboost.dataio import GrayImage
+from gaborboost import physfit
+from gaborboost.dataio import FeatureRow, GrayImage
 from gaborboost.errors import FitError
 from gaborboost.physfit import (
     dip_model,
     fit_image,
     fit_profile,
+    fit_rows,
     initial_guess,
     median_level,
     project,
@@ -120,11 +122,47 @@ def test_fit_rejects_short_profiles():
         fit_profile(np.zeros(5))
 
 
-def test_fit_image_end_to_end():
-    """Column projection of a 2D dip image recovers the dip geometry."""
+def dip_image():
     x = np.arange(96, dtype=float)
     profile = dip_model(x, amp=0.5, center=40.0, width=5.0, skew=0.1, offset=0.6)
-    img = GrayImage(np.tile(profile, (48, 1)))
-    fit = fit_image(img)
+    return GrayImage(np.tile(profile, (48, 1)))
+
+
+def test_fit_image_end_to_end():
+    """Column projection of a 2D dip image recovers the dip geometry."""
+    fit = fit_image(dip_image())
     assert fit.center == pytest.approx(40.0, abs=0.5)
     assert fit.width == pytest.approx(5.0, rel=0.2)
+
+
+def test_fit_image_rejects_flat_image():
+    """A constant image has a zero-range profile: no dip, not a tiny one."""
+    with pytest.raises(FitError, match="flat profile"):
+        fit_image(GrayImage(np.full((48, 96), 0.7)))
+
+
+def table_row(name):
+    return FeatureRow(name, 4.0, 6.0, 0.785, 0.5, 0.25, 1.0, 1.26, 0.5, 0.75,
+                      2.5, 1.68, 0.992, 0.667, "lbl")
+
+
+def test_fit_rows_failing_fit_gives_nan_columns():
+    noise = GrayImage(np.random.default_rng(0).random((48, 96)))
+    with pytest.raises(FitError, match=r"dip amplitude .* below 3.0 x residual noise"):
+        fit_image(noise)
+    rows, failed = fit_rows([table_row("noise"), table_row("dip")], [noise, dip_image()])
+    assert failed == 1
+    assert rows[0].has_pf and rows[0].pf_failed
+    assert all(np.isnan(rows[0].value(c)) for c in ("pf_center", "pf_width", "pf_offset"))
+    assert not rows[1].pf_failed
+    assert rows[1].pf_center == fit_image(dip_image()).center
+    assert rows[1].q_tl == table_row("dip").q_tl and rows[1].id == "dip"
+
+
+def test_fit_rows_propagates_other_errors(monkeypatch):
+    def explode(img):
+        raise RuntimeError("not a fit failure")
+
+    monkeypatch.setattr(physfit, "fit_image", explode)
+    with pytest.raises(RuntimeError, match="not a fit failure"):
+        fit_rows([table_row("x")], [dip_image()])
