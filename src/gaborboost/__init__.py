@@ -13,7 +13,7 @@ from .dataio import (  # noqa: F401
     reduce_classes,
     write_feature_table,
 )
-from .gabor import ComplexKernel, GaborParams, convolve, make_kernel, response_norm  # noqa: F401
+from .gabor import ComplexKernel, GaborParams, convolve, make_kernel  # noqa: F401
 from .features import (  # noqa: F401
     ParamGrid,
     default_grid,

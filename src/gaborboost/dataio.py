@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, SchemaError
+from .errors import ConfigError, ParseError, SchemaError, SizeError
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class GrayImage:
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("image data must be a nonempty 2D array")
+            raise SizeError("image data must be a nonempty 2D array")
         if not np.isfinite(arr).all():
-            raise ValueError("image contains non-finite intensities")
+            raise ConfigError("image contains non-finite intensities")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -50,7 +50,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         if not (len(self.images) == len(self.labels) == len(self.names)):
-            raise ValueError("images, labels, and names must have equal length")
+            raise ConfigError("images, labels, and names must have equal length")
 
     def __len__(self) -> int:
         return len(self.images)
@@ -369,20 +369,3 @@ def read_feature_table(path: str | Path) -> list[FeatureRow]:
                         ) from None
             rows.append(FeatureRow(**kwargs))
     return rows
-
-
-def rows_close(a: FeatureRow, b: FeatureRow, tol: float = 1e-12) -> bool:
-    """Field-wise comparison treating NaN as equal to NaN."""
-    for f in fields(FeatureRow):
-        if f.name == "roi_clamped":
-            continue
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(va, str) or va is None or vb is None:
-            if va != vb:
-                return False
-            continue
-        if math.isnan(va) and math.isnan(vb):
-            continue
-        if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
-            return False
-    return True

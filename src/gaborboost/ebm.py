@@ -175,13 +175,13 @@ def _canonical_order(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _val_split(table: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """Boolean mask of validation rows (stratified, seeded, row-order free)."""
-    order = _canonical_order(table, y)
+def _val_split(y: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """Boolean mask of validation rows (stratified, seeded); free of the
+    caller's row order because ``y`` must already be in ``_canonical_order``."""
     rng = np.random.default_rng(cfg.seed)
     is_val = np.zeros(len(y), dtype=bool)
     for cls in (0.0, 1.0):
-        members = order[y[order] == cls]
+        members = np.flatnonzero(y == cls)
         if members.size == 0:
             continue
         k = int(round(cfg.val_fraction * members.size))
@@ -310,7 +310,7 @@ def train_binary(
         _finalize(model, table, bin_idx, w)
         return model
 
-    is_val = _val_split(table, y, config)
+    is_val = _val_split(y, config)
     logit = np.full(n, intercept)
 
     shape_bins = [(bin_idx[:, i], bins.n_bins(i)) for i in range(d)]

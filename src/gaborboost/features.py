@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from .dataio import FeatureRow, GrayImage, LabeledDataset
 from .errors import ConfigError, SizeError
 from .gabor import GaborParams, block_scores, convolve, make_kernel
-from .util import parallel_map
+from .util import parallel_map, running_median
 
 # Quadrant ratios are guarded against empty quadrants by this epsilon.
 RATIO_EPS = 1e-9
@@ -42,9 +41,9 @@ class ParamGrid:
         for name in ("sigma_x", "sigma_y", "lam"):
             axis = getattr(self, name)
             if not axis:
-                raise ValueError(f"empty {name} axis")
+                raise ConfigError(f"empty {name} axis")
             if list(axis) != sorted(axis):
-                raise ValueError(f"{name} axis must be ascending")
+                raise ConfigError(f"{name} axis must be ascending")
 
     @property
     def size(self) -> int:
@@ -71,11 +70,7 @@ def flatten_background(img: GrayImage) -> GrayImage:
     this step the lowest-frequency grid cells win the search on any
     image with a bright smooth blob in it, regardless of the excitation.
     """
-    window = img.width // 2
-    if window % 2 == 0:
-        window += 1
-    level = median_filter(img.data, size=(1, window), mode="nearest")
-    return GrayImage(img.data - level)
+    return GrayImage(img.data - running_median(img.data, img.width // 2))
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ def integral_image(field: np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(field)
     if arr.ndim != 2:
-        raise ValueError("integral_image expects a 2-D array")
+        raise SizeError("integral_image expects a 2-D array")
     power = np.abs(arr).astype(np.float64) ** 2
     return power.cumsum(axis=0).cumsum(axis=1)
 

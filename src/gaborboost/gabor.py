@@ -16,7 +16,7 @@ import numpy as np
 from scipy.fft import fft, fftn, ifft, ifftn, next_fast_len
 
 from .dataio import GrayImage
-from .errors import SizeError
+from .errors import ConfigError, SizeError
 
 SUPPORT_SIGMAS = 3.0
 
@@ -32,11 +32,11 @@ class GaborParams:
         for name in ("sigma_x", "sigma_y", "theta", "lam"):
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValueError(f"non-finite parameter {name}={v}")
+                raise ConfigError(f"non-finite parameter {name}={v}")
         if self.sigma_x <= 0 or self.sigma_y <= 0:
-            raise ValueError("sigma_x and sigma_y must be positive")
+            raise ConfigError("sigma_x and sigma_y must be positive")
         if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+            raise ConfigError("lam must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ class ComplexKernel:
     values: np.ndarray  # complex128, shape (2*half_height+1, 2*half_width+1)
     half_width: int
     half_height: int
-
-    def value_at(self, dx: int, dy: int) -> complex:
-        """Sample at integer offset (dx right, dy down) from the center."""
-        return complex(self.values[dy + self.half_height, dx + self.half_width])
 
 
 def make_kernel(p: GaborParams, dc_correct: bool = False) -> ComplexKernel:
@@ -127,19 +123,7 @@ def convolve(img: GrayImage, kernel: ComplexKernel, backend: str = "fft") -> np.
         return _convolve_fft_valid(padded.astype(np.complex128), kernel.values)
     if backend == "direct":
         return _convolve_direct_valid(padded.astype(np.complex128), kernel.values)
-    raise ValueError(f"unknown convolution backend {backend!r}")
-
-
-def response_norm(
-    img: GrayImage,
-    p: GaborParams,
-    dc_correct: bool = True,
-    backend: str = "fft",
-) -> float:
-    """l2 norm of the complex response magnitude over the whole field."""
-    kernel = make_kernel(p, dc_correct=dc_correct)
-    resp = convolve(img, kernel, backend=backend)
-    return float(np.linalg.norm(resp))
+    raise ConfigError(f"unknown convolution backend {backend!r}")
 
 
 def block_scores(
@@ -150,15 +134,16 @@ def block_scores(
 ) -> np.ndarray:
     """Field norms of a block of theta=0, DC-corrected kernels sharing ``sigma_x``.
 
-    Entry [i, j] is ``response_norm(img, GaborParams(sigma_x, sigma_ys[i],
-    lam=lams[j]))`` up to rounding.  At theta=0 the kernel factors as
-    ``norm * outer(gy, gx) - c``: a real vertical Gaussian ``gy``, a complex
-    horizontal carrier ``gx``, and the DC-correction constant
-    ``c = norm * mean(gy) * mean(Re gx)``.  So the whole block needs only
-    1-D transforms: one row FFT of the image, one inverse per lam, one
-    column FFT per lam, one inverse per (sigma_y, lam), and a box sum of the
-    padded image for the constant term.  Raises ``SizeError`` exactly when
-    ``convolve`` would for some kernel of the block.
+    Entry [i, j] is the l2 norm of ``convolve(img, make_kernel(GaborParams(
+    sigma_x, sigma_ys[i], lam=lams[j]), dc_correct=True))`` up to rounding.
+    At theta=0 the kernel factors as ``norm * outer(gy, gx) - c``: a real
+    vertical Gaussian ``gy``, a complex horizontal carrier ``gx``, and the
+    DC-correction constant ``c = norm * mean(gy) * mean(Re gx)``.  So the
+    whole block needs only 1-D transforms: one row FFT of the image, one
+    inverse per lam, one column FFT per lam, one inverse per (sigma_y, lam),
+    and a box sum of the padded image for the constant term.  Raises
+    ``SizeError`` exactly when ``convolve`` would for some kernel of the
+    block.
     """
     # Validate every cell as its own kernel would be, so bad grids fail alike.
     for sy in sigma_ys:

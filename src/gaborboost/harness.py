@@ -67,40 +67,11 @@ def stratified_kfold(labels: list[str], k: int, seed: int, repeat: int = 0) -> F
     return FoldSplit(tuple(tuple(sorted(f)) for f in folds), repeat, seed)
 
 
-def metrics(confusion: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, list[str]]:
-    """Percent accuracy, per-class precision and recall from a confusion
-    matrix with true classes on rows.  0/0 counts as 0 and is flagged."""
-    m = np.asarray(confusion, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"confusion matrix must be square, got {m.shape}")
-    total = m.sum()
-    if total == 0:
-        raise ConfigError("empty confusion matrix")
-    accuracy = 100.0 * np.trace(m) / total
-    flags: list[str] = []
-    n = m.shape[0]
-    precision = np.zeros(n)
-    recall = np.zeros(n)
-    for c in range(n):
-        col = m[:, c].sum()
-        row = m[c, :].sum()
-        if col == 0:
-            flags.append(f"precision:{c}")
-        else:
-            precision[c] = 100.0 * m[c, c] / col
-        if row == 0:
-            flags.append(f"recall:{c}")
-        else:
-            recall[c] = 100.0 * m[c, c] / row
-    return float(accuracy), precision, recall, flags
-
-
 def score(classes: Sequence[str], true: Sequence[str], predicted: Sequence[str]) -> dict:
-    """Accuracy, per-class precision and recall, the integer confusion
-    matrix (true classes on rows) and zero-division flags named by class.
-
-    Raises ConfigError for true labels outside ``classes``.
-    """
+    """Percent accuracy, per-class precision and recall (0/0 counts as 0
+    and is flagged by class name), and the integer confusion matrix with
+    true classes on rows.  Raises ConfigError for true labels outside
+    ``classes`` and for an empty input."""
     pos = {c: i for i, c in enumerate(classes)}
     unknown = sorted({str(t) for t in true} - set(pos))
     if unknown:
@@ -108,14 +79,26 @@ def score(classes: Sequence[str], true: Sequence[str], predicted: Sequence[str])
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     for t, p in zip(true, predicted):
         confusion[pos[t], pos[p]] += 1
-    accuracy, precision, recall, flags = metrics(confusion)
-    named = (flag.split(":") for flag in flags)
+    m = confusion.astype(np.float64)
+    total = m.sum()
+    if total == 0:
+        raise ConfigError("no rows to score")
+    precision, recall, flags = {}, {}, []
+    for i, c in enumerate(classes):
+        col = m[:, i].sum()
+        row = m[i, :].sum()
+        precision[c] = 100.0 * m[i, i] / col if col else 0.0
+        recall[c] = 100.0 * m[i, i] / row if row else 0.0
+        if col == 0:
+            flags.append(f"precision:{c}")
+        if row == 0:
+            flags.append(f"recall:{c}")
     return {
-        "accuracy": accuracy,
-        "precision": {c: precision[i] for i, c in enumerate(classes)},
-        "recall": {c: recall[i] for i, c in enumerate(classes)},
+        "accuracy": float(100.0 * np.trace(m) / total),
+        "precision": precision,
+        "recall": recall,
         "confusion": confusion.tolist(),
-        "zero_division": sorted(f"{kind}:{classes[int(i)]}" for kind, i in named),
+        "zero_division": sorted(flags),
     }
 
 

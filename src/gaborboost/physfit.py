@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from .dataio import PF_COLUMNS, FeatureRow, GrayImage
 from .errors import FitError
+from .util import running_median
 
 MAX_ITERATIONS = 200
 REL_COST_TOL = 1e-10
@@ -87,10 +87,7 @@ def median_level(profile: np.ndarray) -> np.ndarray:
     dips a few pixels across leave the level essentially untouched.
     """
     y = np.asarray(profile, dtype=np.float64)
-    window = max(len(y) // 4, 3)
-    if window % 2 == 0:
-        window += 1
-    return median_filter(y, size=window, mode="nearest")
+    return running_median(y, max(len(y) // 4, 3))
 
 
 def initial_guess(profile: np.ndarray) -> tuple[float, float, float, float, float]:

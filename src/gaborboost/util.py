@@ -1,10 +1,13 @@
-"""Small shared helpers: serial and thread-pool mapping, key=value config files."""
+"""Small shared helpers: a running median, serial and threaded maps, key=value config files."""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -21,6 +24,20 @@ def thread_count() -> int:
     if n <= 0:
         n = os.cpu_count() or 1
     return n
+
+
+def running_median(data: np.ndarray, window: int) -> np.ndarray:
+    """Running median along the last axis, ``window`` rounded up to odd and
+    the edges padded with the edge value.
+
+    A median is a selection, not arithmetic, so this equals
+    ``scipy.ndimage.median_filter`` with ``mode="nearest"`` and size 1 on
+    every other axis, bit for bit but for the sign of a zero median.
+    """
+    half = window // 2
+    padded = np.pad(data, [(0, 0)] * (data.ndim - 1) + [(half, half)], mode="edge")
+    windows = np.partition(sliding_window_view(padded, 2 * half + 1, axis=-1), half, axis=-1)
+    return windows[..., half].copy()
 
 
 def serial_map(fn, items):

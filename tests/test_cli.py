@@ -1,16 +1,31 @@
 """Command-line interface tests, including a small end-to-end run."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaborboost
 from gaborboost import ebm
 from gaborboost.cli import main
 from gaborboost.dataio import FeatureRow, read_feature_table, write_feature_table
 
 FAST_TRAIN = ["--max-rounds", "200", "--patience", "10", "--max-pairs", "0"]
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    """At run time scipy serves only scipy.fft; ndimage is a test oracle."""
+    src = str(Path(gaborboost.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, gaborboost.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_help_exits_zero(capsys):

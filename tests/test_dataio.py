@@ -10,11 +10,11 @@ from gaborboost.dataio import (
     load_image,
     read_feature_table,
     reduce_classes,
-    rows_close,
     write_feature_table,
     write_pgm,
 )
-from gaborboost.errors import ConfigError, ParseError, SchemaError
+from gaborboost.errors import ConfigError, ParseError, SchemaError, SizeError
+from oracles import rows_close
 
 
 def make_row(name="img_000", label="longitudinal", **overrides):
@@ -44,11 +44,11 @@ def make_row(name="img_000", label="longitudinal", **overrides):
 
 
 def test_gray_image_rejects_bad_data():
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeError):
         GrayImage(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GrayImage(np.array([[1.0, np.nan]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeError):
         GrayImage(np.zeros(4))
 
 
@@ -150,6 +150,11 @@ def test_reduce_classes_identity():
     out = reduce_classes(ds, {"vortex": "vortex"})
     assert out.labels == ds.labels
     np.testing.assert_array_equal(out.images[0].data, ds.images[0].data)
+
+
+def test_labeled_dataset_rejects_unequal_lengths():
+    with pytest.raises(ConfigError, match="equal length"):
+        LabeledDataset([GrayImage(np.ones((2, 2)))], ["vortex", "vortex"], ["v"])
 
 
 def test_reduce_classes_unmapped_label():

@@ -14,6 +14,7 @@ from gaborboost.ebm import (
     EbmModel,
     OvrEnsemble,
     TrainConfig,
+    _canonical_order,
     _log_loss,
     _sigmoid,
     _val_split,
@@ -159,7 +160,10 @@ def test_validation_loss_beats_intercept_alone():
     cfg = TrainConfig(max_pairs=0, seed=0)
     model = train_binary(table, y, cfg)
 
-    is_val = _val_split(table, y, cfg)
+    # train_binary splits its rows after sorting them canonically.
+    order = _canonical_order(table, y)
+    table, y = table[order], y[order]
+    is_val = _val_split(y, cfg)
     w = np.ones(len(y))
     fitted = _log_loss(y[is_val], predict_logit(model, table)[is_val], w[is_val])
     flat = _log_loss(y[is_val], np.full(is_val.sum(), model.intercept), w[is_val])

@@ -19,8 +19,9 @@ from gaborboost.features import (
     tabularize,
     two_step_optimize,
 )
-from gaborboost.gabor import GaborParams, response_norm
+from gaborboost.gabor import GaborParams
 from gaborboost.synthgen import SynthSpec, generate
+from oracles import response_norm
 
 
 def gabor_packet(width, height, xc, yc, sigma_x, sigma_y, lam, amp=1.0):
@@ -37,9 +38,9 @@ def gabor_packet(width, height, xc, yc, sigma_x, sigma_y, lam, amp=1.0):
 
 
 def test_param_grid_validation():
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ConfigError, match="empty"):
         ParamGrid(sigma_x=(), sigma_y=(2.0,), lam=(0.5,))
-    with pytest.raises(ValueError, match="ascending"):
+    with pytest.raises(ConfigError, match="ascending"):
         ParamGrid(sigma_x=(4.0, 2.0), sigma_y=(2.0,), lam=(0.5,))
     grid = ParamGrid(sigma_x=(2.0, 4.0), sigma_y=(2.0, 3.0, 4.0), lam=(0.5,))
     assert grid.size == 6
@@ -208,7 +209,7 @@ def test_integral_image_squares_complex_magnitude():
 
 
 def test_integral_image_rejects_1d():
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeError):
         integral_image(np.ones(5))
 
 

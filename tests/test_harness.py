@@ -17,8 +17,8 @@ from gaborboost.harness import (
     format_report_table,
     matrix_from_names,
     mean_sigma_display,
-    metrics,
     run_cv,
+    score,
     stratified_kfold,
     train_final,
     write_report,
@@ -118,36 +118,42 @@ def test_stratified_kfold_rejects_bad_input():
 
 
 def test_metrics_perfect_prediction():
-    accuracy, precision, recall, flags = metrics(np.diag([4, 7, 9]))
-    assert accuracy == 100.0
-    np.testing.assert_allclose(precision, 100.0)
-    np.testing.assert_allclose(recall, 100.0)
-    assert flags == []
+    true = ["a"] * 4 + ["b"] * 7 + ["c"] * 9
+    result = score(("a", "b", "c"), true, true)
+    assert result["accuracy"] == 100.0
+    assert result["precision"] == {"a": 100.0, "b": 100.0, "c": 100.0}
+    assert result["recall"] == {"a": 100.0, "b": 100.0, "c": 100.0}
+    assert result["confusion"] == [[4, 0, 0], [0, 7, 0], [0, 0, 9]]
+    assert result["zero_division"] == []
 
 
 def test_metrics_mixed_confusion():
-    accuracy, precision, recall, flags = metrics([[5, 5], [0, 10]])
-    assert accuracy == 75.0
-    np.testing.assert_allclose(precision, [100.0, 100.0 * 10 / 15])
-    np.testing.assert_allclose(recall, [50.0, 100.0])
-    assert flags == []
+    # confusion [[5, 5], [0, 10]]: half the "a" rows predicted as "b"
+    result = score(("a", "b"), ["a"] * 10 + ["b"] * 10, ["a"] * 5 + ["b"] * 15)
+    assert result["confusion"] == [[5, 5], [0, 10]]
+    assert result["accuracy"] == 75.0
+    assert result["precision"] == {"a": 100.0, "b": 100.0 * 10.0 / 15.0}
+    assert result["recall"] == {"a": 50.0, "b": 100.0}
+    assert result["zero_division"] == []
 
 
 def test_metrics_flags_zero_division():
-    accuracy, precision, recall, flags = metrics([[0, 3], [0, 7]])
-    assert precision[0] == 0.0
-    assert flags == ["precision:0"]
+    # nothing predicted as "a": precision of "a" is 0/0
+    result = score(("a", "b"), ["a"] * 3 + ["b"] * 7, ["b"] * 10)
+    assert result["precision"]["a"] == 0.0
+    assert result["zero_division"] == ["precision:a"]
 
-    accuracy, precision, recall, flags = metrics([[0, 0], [2, 8]])
-    assert recall[0] == 0.0
-    assert "recall:0" in flags
+    # no true "a" rows: recall of "a" is 0/0
+    result = score(("a", "b"), ["b"] * 10, ["a"] * 2 + ["b"] * 8)
+    assert result["recall"]["a"] == 0.0
+    assert result["zero_division"] == ["recall:a"]
 
 
 def test_metrics_rejects_bad_matrices():
-    with pytest.raises(ConfigError):
-        metrics(np.zeros((2, 3)))
-    with pytest.raises(ConfigError):
-        metrics(np.zeros((2, 2)))
+    with pytest.raises(ConfigError, match="no rows"):
+        score(("a", "b"), [], [])
+    with pytest.raises(ConfigError, match="not covered"):
+        score(("a", "b"), ["a", "c"], ["a", "b"])
 
 
 def test_mean_sigma_display():
