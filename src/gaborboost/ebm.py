@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError(f"max_pairs must be at least 0, got {self.max_pairs}")
         if self.max_bins < 2:
             raise ConfigError(f"max_bins must be at least 2, got {self.max_bins}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 def _bin_values(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -61,35 +63,9 @@ def _bin_values(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
-class BinMap:
-    """Per-feature ascending cut points.
-
-    Feature i has len(cuts[i]) + 1 finite bins; bin len(cuts[i]) + 1 is
-    reserved for missing (NaN) values, so every value maps somewhere and
-    out-of-range values land in the edge bins.
-    """
-
-    cuts: tuple[np.ndarray, ...]
-
-    @property
-    def n_features(self) -> int:
-        return len(self.cuts)
-
-    def n_bins(self, feature: int) -> int:
-        return len(self.cuts[feature]) + 2
-
-    def bin_column(self, feature: int, values: np.ndarray) -> np.ndarray:
-        return _bin_values(self.cuts[feature], values)
-
-    def bin_matrix(self, table: np.ndarray) -> np.ndarray:
-        out = np.empty(table.shape, dtype=np.int64)
-        for i in range(self.n_features):
-            out[:, i] = self.bin_column(i, table[:, i])
-        return out
-
-
 def _quantile_cuts(values: np.ndarray, max_bins: int) -> np.ndarray:
+    """Ascending cut points of finite ``values``; none for fewer than two
+    distinct values."""
     distinct = np.unique(values)
     if len(distinct) <= 1:
         return np.empty(0, dtype=np.float64)
@@ -100,51 +76,48 @@ def _quantile_cuts(values: np.ndarray, max_bins: int) -> np.ndarray:
     return np.unique(cuts)
 
 
-def build_bins(table: np.ndarray, max_bins: int = 64) -> BinMap:
-    """Quantile-based cut points per feature; one bin per value when a
-    feature has at most max_bins distinct values."""
+def build_bins(table: np.ndarray, max_bins: int = 64) -> tuple[np.ndarray, ...]:
+    """Ascending quantile-based cut points per feature; one bin per value
+    when a feature has at most max_bins distinct values."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 1:
         raise ConfigError("build_bins needs a nonempty 2-D table")
     if max_bins < 2:
         raise ConfigError("max_bins must be at least 2")
-    cuts = []
-    for i in range(table.shape[1]):
-        col = table[:, i]
-        finite = col[np.isfinite(col)]
-        if finite.size == 0:
-            cuts.append(np.empty(0, dtype=np.float64))
-        else:
-            cuts.append(np.asarray(_quantile_cuts(finite, max_bins), dtype=np.float64))
-    return BinMap(tuple(cuts))
+    return tuple(_quantile_cuts(col[np.isfinite(col)], max_bins) for col in table.T)
 
 
 @dataclass
-class ShapeFunction:
-    feature: int
-    scores: np.ndarray  # one entry per bin, missing bin last
+class Term:
+    """One additive term: a lookup table over one feature (a shape
+    function) or two (a pair interaction).
 
+    ``scores`` has one axis per feature.  Axis k has len(cuts[k]) + 1
+    finite bins and a last bin for missing (NaN) values, so every value
+    maps somewhere and out-of-range values land in the edge bins.
+    """
 
-@dataclass
-class PairFunction:
-    i: int
-    j: int
-    cuts_i: np.ndarray
-    cuts_j: np.ndarray
-    grid: np.ndarray  # (bins_i, bins_j) scores, missing bins last
+    features: tuple[int, ...]
+    cuts: tuple[np.ndarray, ...]
+    scores: np.ndarray
 
-    def bin_rows(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (_bin_values(self.cuts_i, table[:, self.i]),
-                _bin_values(self.cuts_j, table[:, self.j]))
+    def bin_index(self, table: np.ndarray) -> np.ndarray:
+        """Row-major flat index into ``scores`` for each row of ``table``."""
+        flat = _bin_values(self.cuts[0], table[:, self.features[0]])
+        for feature, cuts in zip(self.features[1:], self.cuts[1:]):
+            flat = flat * (len(cuts) + 2) + _bin_values(cuts, table[:, feature])
+        return flat
+
+    def lookup(self, table: np.ndarray) -> np.ndarray:
+        return self.scores.ravel()[self.bin_index(table)]
 
 
 @dataclass
 class EbmModel:
     feature_names: tuple[str, ...]
     intercept: float
-    bins: BinMap
-    shapes: list[ShapeFunction]
-    pairs: list[PairFunction]
+    shapes: list[Term]  # one per feature, in feature order
+    pairs: list[Term]
     importances: dict[str, float] = field(default_factory=dict)
 
 
@@ -196,20 +169,18 @@ def _val_split(y: np.ndarray, cfg: TrainConfig) -> np.ndarray:
 
 
 def _boost_terms(
+    terms: list[Term],
+    table: np.ndarray,
     logit: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
     is_val: np.ndarray,
-    term_bins: list[tuple[np.ndarray, int]],
-    term_scores: list[np.ndarray],
     cfg: TrainConfig,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Cyclic boosting over a list of terms with early stopping.
+) -> np.ndarray:
+    """Cyclic boosting of ``terms`` on top of ``logit`` with early stopping.
 
-    ``term_bins`` holds (flat bin index per row, bin count) per term and
-    ``term_scores`` the flat score arrays being learned (modified on a
-    working copy).  Returns the best-validation-loss snapshot of the
-    scores and the matching logit vector.
+    Each term's scores are replaced by their best-validation-loss
+    snapshot; the matching logit vector is returned.
     """
     train = ~is_val
     have_val = bool(is_val.any())
@@ -218,27 +189,28 @@ def _boost_terms(
     # weight) is computed once per stage.
     y_train, w_train = y[train], w[train]
     logit_train, logit_val = logit[train], logit[is_val]
-    terms = []
-    for bins, n_bins in term_bins:
+    prepared = []
+    for term in terms:
+        bins = term.bin_index(table)
         bins_train = bins[train]
-        bin_w = np.bincount(bins_train, weights=w_train, minlength=n_bins)
+        bin_w = np.bincount(bins_train, weights=w_train, minlength=term.scores.size)
         # An empty bin sums no residuals, so dividing its 0 by 1 updates it by 0.
         bin_w[bin_w <= 0] = 1.0
-        terms.append((bins_train, bins[is_val], n_bins, bin_w))
+        prepared.append((bins_train, bins[is_val], term.scores.size, bin_w))
     # The loss is read on the validation rows, or on the training rows
     # when there are none; the logits are updated in place.
     loss_rows = is_val if have_val else train
     y_loss, w_loss = y[loss_rows], w[loss_rows]
     logit_loss = logit_val if have_val else logit_train
 
-    scores = [s.copy() for s in term_scores]
+    scores = [term.scores.ravel().copy() for term in terms]
     best_loss = _log_loss(y_loss, logit_loss, w_loss)
     best_scores = [s.copy() for s in scores]
     best_train, best_val = logit_train.copy(), logit_val.copy()
     best_round = 0
 
     for round_no in range(1, cfg.max_rounds + 1):
-        for (bins_train, bins_val, n_bins, bin_w), score in zip(terms, scores):
+        for (bins_train, bins_val, n_bins, bin_w), score in zip(prepared, scores):
             residual = y_train - _sigmoid(logit_train)
             bin_wr = np.bincount(bins_train, weights=w_train * residual, minlength=n_bins)
             update = cfg.learning_rate * bin_wr / bin_w
@@ -253,10 +225,12 @@ def _boost_terms(
             best_round = round_no
         elif round_no - best_round >= cfg.patience:
             break
+    for term, best in zip(terms, best_scores):
+        term.scores = best.reshape(term.scores.shape)
     best_logit = np.empty_like(logit)
     best_logit[train] = best_train
     best_logit[is_val] = best_val
-    return best_scores, best_logit
+    return best_logit
 
 
 def train_binary(
@@ -284,12 +258,13 @@ def train_binary(
     # Reorder rows canonically so every accumulation below sums in the
     # same sequence no matter how the caller ordered the table; without
     # this, float addition order leaks ~1e-16 differences into the model.
+    # The sort cannot tell -0.0 from 0.0, so adding 0.0 makes them one
+    # value before a quantile can pick either sign for a saved cut.
     order = _canonical_order(table, y)
-    table = table[order]
+    table = table[order] + 0.0
     y = y[order]
 
-    bins = build_bins(table, config.max_bins)
-    bin_idx = bins.bin_matrix(table)
+    cuts = build_bins(table, config.max_bins)
     n, d = table.shape
 
     w = np.ones(n)
@@ -302,42 +277,21 @@ def train_binary(
     rate = float((w * y).sum() / w.sum())
     clipped = min(max(rate, RATE_CLIP), 1.0 - RATE_CLIP)
     intercept = math.log(clipped / (1.0 - clipped))
-    shapes = [ShapeFunction(i, np.zeros(bins.n_bins(i))) for i in range(d)]
-    model = EbmModel(tuple(feature_names), intercept, bins, shapes, [])
+    shapes = [Term((i,), (cuts[i],), np.zeros(len(cuts[i]) + 2)) for i in range(d)]
+    model = EbmModel(tuple(feature_names), intercept, shapes, [])
 
     if len(np.unique(y)) < 2:
         # Nothing to separate: keep the intercept-only model.
-        _finalize(model, table, bin_idx, w)
+        _finalize(model, table, w)
         return model
 
     is_val = _val_split(y, config)
-    logit = np.full(n, intercept)
-
-    shape_bins = [(bin_idx[:, i], bins.n_bins(i)) for i in range(d)]
-    shape_scores = [s.scores for s in shapes]
-    best_scores, logit = _boost_terms(
-        logit, y, w, is_val, shape_bins, shape_scores, config
-    )
-    for s, learned in zip(shapes, best_scores):
-        s.scores = learned
-
+    logit = _boost_terms(model.shapes, table, np.full(n, intercept), y, w, is_val, config)
     if config.max_pairs > 0 and d >= 2:
-        pairs = _screen_pairs(table, y, w, is_val, logit, config)
-        if pairs:
-            pair_bins = []
-            for p in pairs:
-                bi, bj = p.bin_rows(table)
-                width = len(p.cuts_j) + 2
-                pair_bins.append((bi * width + bj, (len(p.cuts_i) + 2) * width))
-            pair_scores = [p.grid.ravel() for p in pairs]
-            best_grids, logit = _boost_terms(
-                logit, y, w, is_val, pair_bins, pair_scores, config
-            )
-            for p, learned in zip(pairs, best_grids):
-                p.grid = learned.reshape(p.grid.shape)
-            model.pairs = pairs
+        model.pairs = _screen_pairs(table, y, w, is_val, logit, config)
+        _boost_terms(model.pairs, table, logit, y, w, is_val, config)
 
-    _finalize(model, table, bin_idx, w)
+    _finalize(model, table, w)
     return model
 
 
@@ -348,7 +302,7 @@ def _screen_pairs(
     is_val: np.ndarray,
     logit: np.ndarray,
     config: TrainConfig,
-) -> list[PairFunction]:
+) -> list[Term]:
     """Rank feature pairs by the residual variance a coarse 2-D per-cell
     mean fit explains, and keep the strongest few."""
     train = ~is_val
@@ -356,11 +310,7 @@ def _screen_pairs(
     w_train = w[train]
     d = table.shape[1]
 
-    coarse_cuts = []
-    for i in range(d):
-        col = table[train, i]
-        finite = col[np.isfinite(col)]
-        coarse_cuts.append(_quantile_cuts(finite, PAIR_BINS) if finite.size else np.empty(0))
+    coarse_cuts = [_quantile_cuts(col[np.isfinite(col)], PAIR_BINS) for col in table[train].T]
 
     scored = []
     for i in range(d):
@@ -378,48 +328,33 @@ def _screen_pairs(
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
 
     pairs = []
-    for explained, i, j in scored[: config.max_pairs]:
+    for _, i, j in scored[: config.max_pairs]:
         ci, cj = coarse_cuts[i], coarse_cuts[j]
-        grid = np.zeros((len(ci) + 2, len(cj) + 2))
-        pairs.append(PairFunction(i, j, ci.copy(), cj.copy(), grid))
+        pairs.append(Term((i, j), (ci, cj), np.zeros((len(ci) + 2, len(cj) + 2))))
     return pairs
 
 
-def _finalize(model: EbmModel, table: np.ndarray, bin_idx: np.ndarray, w: np.ndarray) -> None:
+def _finalize(model: EbmModel, table: np.ndarray, w: np.ndarray) -> None:
     """Center every term to weighted mean zero over the training rows,
-    fold the means into the intercept, and compute importances."""
+    fold the means into the intercept, and compute importances, named
+    by the term's features joined with " x "."""
     w_sum = w.sum()
     importances: dict[str, float] = {}
-    for shape in model.shapes:
-        contrib = shape.scores[bin_idx[:, shape.feature]]
+    for term in model.shapes + model.pairs:
+        contrib = term.lookup(table)
         mean = float((w * contrib).sum() / w_sum)
-        shape.scores = shape.scores - mean
+        term.scores = term.scores - mean
         model.intercept += mean
-        centered = contrib - mean
-        importances[model.feature_names[shape.feature]] = float(
-            (w * np.abs(centered)).sum() / w_sum
-        )
-    for pair in model.pairs:
-        bi, bj = pair.bin_rows(table)
-        contrib = pair.grid[bi, bj]
-        mean = float((w * contrib).sum() / w_sum)
-        pair.grid = pair.grid - mean
-        model.intercept += mean
-        centered = contrib - mean
-        name = f"{model.feature_names[pair.i]} x {model.feature_names[pair.j]}"
-        importances[name] = float((w * np.abs(centered)).sum() / w_sum)
+        name = " x ".join(model.feature_names[f] for f in term.features)
+        importances[name] = float((w * np.abs(contrib - mean)).sum() / w_sum)
     model.importances = importances
 
 
 def predict_logit(model: EbmModel, table: np.ndarray) -> np.ndarray:
     table = np.atleast_2d(np.asarray(table, dtype=np.float64))
-    bin_idx = model.bins.bin_matrix(table)
     logit = np.full(len(table), model.intercept)
-    for shape in model.shapes:
-        logit += shape.scores[bin_idx[:, shape.feature]]
-    for pair in model.pairs:
-        bi, bj = pair.bin_rows(table)
-        logit += pair.grid[bi, bj]
+    for term in model.shapes + model.pairs:
+        logit += term.lookup(table)
     return logit
 
 
@@ -470,17 +405,17 @@ def _model_to_obj(model: EbmModel) -> dict:
         "kind": "binary",
         "feature_names": list(model.feature_names),
         "intercept": model.intercept,
-        "bins": [c.tolist() for c in model.bins.cuts],
+        "bins": [s.cuts[0].tolist() for s in model.shapes],
         "shapes": [
-            {"feature": s.feature, "scores": s.scores.tolist()} for s in model.shapes
+            {"feature": s.features[0], "scores": s.scores.tolist()} for s in model.shapes
         ],
         "pairs": [
             {
-                "i": p.i,
-                "j": p.j,
-                "cuts_i": p.cuts_i.tolist(),
-                "cuts_j": p.cuts_j.tolist(),
-                "grid": p.grid.tolist(),
+                "i": p.features[0],
+                "j": p.features[1],
+                "cuts_i": p.cuts[0].tolist(),
+                "cuts_j": p.cuts[1].tolist(),
+                "grid": p.scores.tolist(),
             }
             for p in model.pairs
         ],
@@ -490,29 +425,39 @@ def _model_to_obj(model: EbmModel) -> dict:
 
 def _model_from_obj(obj: dict) -> EbmModel:
     try:
-        bins = BinMap(tuple(np.asarray(c, dtype=np.float64) for c in obj["bins"]))
-        shapes = [
-            ShapeFunction(s["feature"], np.asarray(s["scores"], dtype=np.float64))
-            for s in obj["shapes"]
-        ]
+        names = tuple(obj["feature_names"])
+        bins = [np.asarray(c, dtype=np.float64) for c in obj["bins"]]
+        n_features = min(len(names), len(bins))
+
+        def feature(index: object) -> int:
+            # A negative index would wrap silently at prediction time.
+            if not isinstance(index, int) or not 0 <= index < n_features:
+                raise ModelFormatError(
+                    f"feature index {index!r} out of range for {n_features} features")
+            return index
+
+        # "bins" is written from the shapes, so shape k must be feature k.
+        shapes = []
+        for k, s in enumerate(obj["shapes"]):
+            if feature(s["feature"]) != k:
+                raise ModelFormatError(f"shape {k} is for feature {s['feature']}; "
+                                       "shapes must follow feature order")
+            shapes.append(Term((k,), (bins[k],), np.asarray(s["scores"], dtype=np.float64)))
         pairs = [
-            PairFunction(
-                p["i"],
-                p["j"],
-                np.asarray(p["cuts_i"], dtype=np.float64),
-                np.asarray(p["cuts_j"], dtype=np.float64),
+            Term(
+                (feature(p["i"]), feature(p["j"])),
+                (np.asarray(p["cuts_i"], dtype=np.float64),
+                 np.asarray(p["cuts_j"], dtype=np.float64)),
                 np.asarray(p["grid"], dtype=np.float64),
             )
             for p in obj["pairs"]
         ]
-        return EbmModel(
-            tuple(obj["feature_names"]),
-            float(obj["intercept"]),
-            bins,
-            shapes,
-            pairs,
-            dict(obj["importances"]),
-        )
+        for term in shapes + pairs:
+            expected = tuple(len(c) + 2 for c in term.cuts)
+            if term.scores.shape != expected:
+                raise ModelFormatError(f"term over features {list(term.features)} has scores "
+                                       f"of shape {term.scores.shape}, expected {expected}")
+        return EbmModel(names, float(obj["intercept"]), shapes, pairs, dict(obj["importances"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model object: {exc}") from exc
 
@@ -560,25 +505,20 @@ def _explain_model(model: EbmModel) -> dict:
         )
         if value > 0
     ]
-    shapes = []
-    for s in model.shapes:
-        shapes.append(
-            {
-                "feature": model.feature_names[s.feature],
-                "cuts": model.bins.cuts[s.feature].tolist(),
-                "scores": s.scores.tolist(),
-            }
-        )
-    pairs = []
-    for p in model.pairs:
-        pairs.append(
-            {
-                "features": [model.feature_names[p.i], model.feature_names[p.j]],
-                "cuts_i": p.cuts_i.tolist(),
-                "cuts_j": p.cuts_j.tolist(),
-                "grid": p.grid.tolist(),
-            }
-        )
+    names = model.feature_names
+    shapes = [
+        {"feature": names[s.features[0]], "cuts": s.cuts[0].tolist(), "scores": s.scores.tolist()}
+        for s in model.shapes
+    ]
+    pairs = [
+        {
+            "features": [names[f] for f in p.features],
+            "cuts_i": p.cuts[0].tolist(),
+            "cuts_j": p.cuts[1].tolist(),
+            "grid": p.scores.tolist(),
+        }
+        for p in model.pairs
+    ]
     return {"importances": ranking, "shapes": shapes, "pairs": pairs}
 
 

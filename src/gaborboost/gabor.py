@@ -72,21 +72,6 @@ def _pad_reflect(data: np.ndarray, hh: int, hw: int) -> np.ndarray:
     return np.pad(data, ((hh, hh), (hw, hw)), mode="symmetric")
 
 
-def _convolve_direct_valid(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Plain shift-and-accumulate convolution, 'valid' output size."""
-    kh, kw = kernel.shape
-    out_h = padded.shape[0] - kh + 1
-    out_w = padded.shape[1] - kw + 1
-    out = np.zeros((out_h, out_w), dtype=np.complex128)
-    for r in range(kh):
-        for c in range(kw):
-            w = kernel[r, c]
-            if w == 0:
-                continue
-            out += w * padded[kh - 1 - r : kh - 1 - r + out_h, kw - 1 - c : kw - 1 - c + out_w]
-    return out
-
-
 def _check_extent(kh: int, kw: int, img: GrayImage) -> None:
     if kh > 3 * img.height or kw > 3 * img.width:
         raise SizeError(
@@ -110,20 +95,13 @@ def _convolve_fft_valid(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out[kh - 1 : padded.shape[0], kw - 1 : padded.shape[1]].copy()
 
 
-def convolve(img: GrayImage, kernel: ComplexKernel, backend: str = "fft") -> np.ndarray:
-    """Same-size convolution of ``img`` with ``kernel``.
-
-    Borders use reflect padding. Backends 'direct' and 'fft' compute the
-    same quantity by independent methods and agree to float precision.
-    """
+def convolve(img: GrayImage, kernel: ComplexKernel) -> np.ndarray:
+    """Same-size FFT convolution of ``img`` with ``kernel``; borders use
+    reflect padding."""
     kh, kw = kernel.values.shape
     _check_extent(kh, kw, img)
     padded = _pad_reflect(img.data, kernel.half_height, kernel.half_width)
-    if backend == "fft":
-        return _convolve_fft_valid(padded.astype(np.complex128), kernel.values)
-    if backend == "direct":
-        return _convolve_direct_valid(padded.astype(np.complex128), kernel.values)
-    raise ConfigError(f"unknown convolution backend {backend!r}")
+    return _convolve_fft_valid(padded.astype(np.complex128), kernel.values)
 
 
 def block_scores(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import FeatureRow
+from .dataio import PF_COLUMNS, FeatureRow
 from .ebm import OvrEnsemble, TrainConfig, predict_ovr, train_ovr
 from .errors import ConfigError
 # Serial: boosting holds the GIL and loses in threads; perfbench wraps this name per CV cell.
@@ -26,14 +26,13 @@ from .util import serial_map as parallel_map
 # positions enter in normalized form.
 GF_FEATURES = ("x_star_norm", "y_star_norm", "q_tl", "q_tr", "q_bl", "q_br")
 EGF_FEATURES = ("egf_tl_bl", "egf_tr_br", "egf_tl_tr", "egf_bl_br")
-PF_FEATURES = ("pf_amp", "pf_center", "pf_width", "pf_skew", "pf_offset")
 
 FEATURE_SETS = {
     "GF": GF_FEATURES,
     "GF+EGF": GF_FEATURES + EGF_FEATURES,
-    "GF+PF": GF_FEATURES + PF_FEATURES,
-    "GF+EGF+PF": GF_FEATURES + EGF_FEATURES + PF_FEATURES,
-    "PF": PF_FEATURES,
+    "GF+PF": GF_FEATURES + PF_COLUMNS,
+    "GF+EGF+PF": GF_FEATURES + EGF_FEATURES + PF_COLUMNS,
+    "PF": PF_COLUMNS,
 }
 
 # Map display feature names onto FeatureRow attributes.
@@ -51,6 +50,8 @@ def stratified_kfold(labels: list[str], k: int, seed: int, repeat: int = 0) -> F
     """Assign indices to k folds, round-robin within each shuffled class."""
     if k < 2:
         raise ConfigError(f"k must be at least 2, got {k}")
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     labels_arr = np.asarray(labels)
     classes = sorted(set(labels))
     rng = np.random.default_rng(seed)
@@ -110,10 +111,10 @@ def matrix_from_names(
     Rows whose physics fit failed (NaN PF columns) are dropped when any
     PF column is requested; the count of dropped rows is returned.
     """
-    uses_pf = any(n in PF_FEATURES for n in names)
+    uses_pf = any(n in PF_COLUMNS for n in names)
     if uses_pf and rows and not rows[0].has_pf:
         raise ConfigError(
-            f"columns {sorted(set(names) & set(PF_FEATURES))} need PF data; run fit-physics"
+            f"columns {sorted(set(names) & set(PF_COLUMNS))} need PF data; run fit-physics"
         )
     kept = [r for r in rows if not (uses_pf and r.pf_failed)] if uses_pf else list(rows)
     dropped = len(rows) - len(kept)

@@ -9,6 +9,7 @@ bottom-right shoulder outshines the bottom-left one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,8 +54,10 @@ class SynthSpec:
             raise ConfigError(f"image size {self.width}x{self.height} must be positive")
         if min(self.n_longitudinal, self.n_partial, self.n_vortex) < 0:
             raise ConfigError("class counts must be nonnegative")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,27 @@ def value_at(kernel: ComplexKernel, dx: int, dy: int) -> complex:
     return complex(kernel.values[dy + kernel.half_height, dx + kernel.half_width])
 
 
-def response_norm(
-    img: GrayImage,
-    p: GaborParams,
-    dc_correct: bool = True,
-    backend: str = "fft",
-) -> float:
+def convolve_direct(img: GrayImage, kernel: ComplexKernel) -> np.ndarray:
+    """Same-size convolution by plain shift-and-accumulate over reflect
+    padding: the naive reference for ``gabor.convolve``."""
+    kh, kw = kernel.values.shape
+    padded = np.pad(img.data, ((kernel.half_height,) * 2, (kernel.half_width,) * 2),
+                    mode="symmetric")
+    out_h, out_w = img.data.shape
+    out = np.zeros((out_h, out_w), dtype=np.complex128)
+    for r in range(kh):
+        for c in range(kw):
+            w = kernel.values[r, c]
+            if w == 0:
+                continue
+            out += w * padded[kh - 1 - r : kh - 1 - r + out_h, kw - 1 - c : kw - 1 - c + out_w]
+    return out
+
+
+def response_norm(img: GrayImage, p: GaborParams, dc_correct: bool = True) -> float:
     """l2 norm of the complex response magnitude over the whole field."""
     kernel = make_kernel(p, dc_correct=dc_correct)
-    resp = convolve(img, kernel, backend=backend)
-    return float(np.linalg.norm(resp))
+    return float(np.linalg.norm(convolve(img, kernel)))
 
 
 def rows_close(a: FeatureRow, b: FeatureRow, tol: float = 1e-12) -> bool:

@@ -174,6 +174,8 @@ def small_table(tmp_path):
     (["train", "--learning-rate", "nan"], "learning_rate"),
     (["train", "--max-rounds", "-1"], "max_rounds"),
     (["cv", "--val-fraction", "1.5"], "val_fraction"),
+    (["cv", "--seed", "-1"], "seed"),
+    (["train", "--seed", "-1"], "seed"),
 ])
 def test_bad_training_options_report_one_error(small_table, tmp_path, capsys, argv, message):
     command, *flags = argv
@@ -189,6 +191,20 @@ def one_error_line(capsys, *fragments):
     err = capsys.readouterr().err.splitlines()
     return (len(err) == 1 and err[0].startswith("error:")
             and all(f in err[0] for f in fragments))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed"),
+    (["--noise", "nan"], "noise_sigma"),
+    (["--noise", "inf"], "noise_sigma"),
+])
+def test_bad_generate_options_report_one_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    rc = main(["generate", "--out", str(out), "--longitudinal", "1", "--partial", "1",
+               "--vortex", "1", *flags])
+    assert rc == 1
+    assert one_error_line(capsys, message)
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -273,3 +289,19 @@ def test_evaluate_unknown_label_reports_error(small_model, small_table, tmp_path
     rc = main(["evaluate", "--model", str(small_model), "--table", str(table)])
     assert rc == 1
     assert one_error_line(capsys, "['mystery'] not covered by the model")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("feature", 99, "feature index 99 out of range"),
+    ("feature", -1, "feature index -1 out of range"),
+    ("feature", 1, "shape 0 is for feature 1"),
+    ("scores", [0.0], "has scores of shape (1,), expected (2,)"),
+])
+def test_evaluate_rejects_malformed_shape(small_model, small_table, capsys, key, value, message):
+    obj = json.loads(small_model.read_text())
+    obj["models"][0]["shapes"][0][key] = value
+    small_model.write_text(json.dumps(obj))
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(small_model), "--table", str(small_table)])
+    assert rc == 1
+    assert one_error_line(capsys, message)

@@ -5,15 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaborboost.ebm import (
-    BinMap,
     EbmModel,
     OvrEnsemble,
+    Term,
     TrainConfig,
+    _bin_values,
     _canonical_order,
     _log_loss,
     _sigmoid,
@@ -35,24 +36,24 @@ FAST = TrainConfig(max_rounds=300, patience=20, max_pairs=0, seed=0)
 
 
 def test_build_bins_binary_column_gets_midpoint_cut():
-    bm = build_bins(np.array([[0.0], [1.0], [0.0], [1.0]]))
-    np.testing.assert_allclose(bm.cuts[0], [0.5])
-    assert bm.n_bins(0) == 3  # two finite bins plus the missing bin
+    cuts = build_bins(np.array([[0.0], [1.0], [0.0], [1.0]]))
+    np.testing.assert_allclose(cuts[0], [0.5])
+    assert len(cuts[0]) + 2 == 3  # two finite bins plus the missing bin
 
 
 def test_build_bins_constant_column_has_no_cuts():
-    bm = build_bins(np.full((10, 1), 3.7))
-    assert len(bm.cuts[0]) == 0
-    assert bm.n_bins(0) == 2
+    cuts = build_bins(np.full((10, 1), 3.7))
+    assert len(cuts[0]) == 0
+    assert len(cuts[0]) + 2 == 2
 
 
 def test_build_bins_quantiles_split_evenly():
     rng = np.random.default_rng(0)
     col = rng.uniform(0, 1, 1000)
-    bm = build_bins(col[:, None], max_bins=4)
-    idx = bm.bin_column(0, col)
+    cuts = build_bins(col[:, None], max_bins=4)
+    idx = _bin_values(cuts[0], col)
     np.testing.assert_array_equal(
-        np.bincount(idx, minlength=bm.n_bins(0)), [250, 250, 250, 250, 0]
+        np.bincount(idx, minlength=len(cuts[0]) + 2), [250, 250, 250, 250, 0]
     )
 
 
@@ -66,9 +67,14 @@ def test_build_bins_rejects_bad_input():
 
 
 def test_bin_column_routes_nan_and_out_of_range():
-    bm = BinMap((np.array([0.0, 1.0]),))
-    idx = bm.bin_column(0, np.array([-5.0, 0.5, 5.0, np.nan]))
+    shape = Term((0,), (np.array([0.0, 1.0]),), np.zeros(4))
+    idx = shape.bin_index(np.array([[-5.0], [0.5], [5.0], [np.nan]]))
     np.testing.assert_array_equal(idx, [0, 1, 2, 3])
+    # A pair's index is row-major over its two axes, missing bins last.
+    pair = Term((1, 0), (np.array([0.0]), np.array([0.0, 1.0])), np.arange(12.0).reshape(3, 4))
+    rows = np.array([[-5.0, np.nan], [0.5, -1.0], [np.nan, 2.0]])
+    np.testing.assert_array_equal(pair.bin_index(rows), [2 * 4 + 0, 0 * 4 + 1, 1 * 4 + 3])
+    np.testing.assert_array_equal(pair.lookup(rows), [8.0, 1.0, 7.0])
 
 
 def test_single_class_training_gives_intercept_only():
@@ -93,7 +99,7 @@ def test_threshold_problem_separates_cleanly():
     assert (pred == y).mean() == 1.0
 
     shape = model.shapes[0]
-    cuts = model.bins.cuts[0]
+    cuts = shape.cuts[0]
     reps = np.concatenate([[cuts[0] - 1], (cuts[:-1] + cuts[1:]) / 2, [cuts[-1] + 1]])
     finite = shape.scores[: len(reps)]
     assert finite[reps <= 0].max() < finite[reps > 0].min()
@@ -129,28 +135,84 @@ def test_predict_logit_matches_manual_lookup():
     model = train_binary(table, y, TrainConfig(max_pairs=2, seed=0))
     probe = rng.normal(size=(50, 3))
 
+    assert len(model.pairs) == 2
+    # The probe holds no NaN, so a plain searchsorted finds every bin.
     logit = np.full(len(probe), model.intercept)
-    bin_idx = model.bins.bin_matrix(probe)
-    for shape in model.shapes:
-        logit += shape.scores[bin_idx[:, shape.feature]]
-    for pair in model.pairs:
-        bi, bj = pair.bin_rows(probe)
-        logit += pair.grid[bi, bj]
-    np.testing.assert_allclose(predict_logit(model, probe), logit, atol=1e-12)
+    for term in model.shapes + model.pairs:
+        axes = tuple(np.searchsorted(c, probe[:, f], side="right")
+                     for f, c in zip(term.features, term.cuts))
+        logit += term.scores[axes]
+    assert np.array_equal(predict_logit(model, probe), logit)
 
 
-def test_row_order_does_not_change_the_model(tmp_path):
+def _saved(model, path):
+    save_model(model, path)
+    return path.read_bytes()
+
+
+def _reference_row_order_case():
     rng = np.random.default_rng(5)
     table = rng.normal(size=(200, 3))
     y = (table[:, 0] > 0.2).astype(float)
-    model_a = train_binary(table, y, TrainConfig(max_pairs=1, seed=0))
+    return table, y, rng.permutation(len(y))
 
-    perm = rng.permutation(len(y))
-    model_b = train_binary(table[perm], y[perm], TrainConfig(max_pairs=1, seed=0))
 
-    save_model(model_a, tmp_path / "a.json")
-    save_model(model_b, tmp_path / "b.json")
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+def _signed_zero_case():
+    """Both zeros in one column: a median cut could be saved as 0.0 or -0.0."""
+    rng = np.random.default_rng(0)
+    table = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5], size=(40, 2))
+    y = rng.integers(0, 2, 40).astype(float)
+    return table, y, rng.permutation(40)
+
+
+@st.composite
+def tables_with_ties(draw):
+    """A small table whose values repeat, signed zeros included, with
+    labels of either class, plus a row permutation."""
+    n = draw(st.integers(20, 48))
+    d = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8)) + [-0.0, 0.0]
+    table = draw(arrays(np.float64, (n, d), elements=st.sampled_from(pool)))
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    perm = np.array(draw(st.permutations(range(n))))
+    return table, y, perm
+
+
+SMALL_CONFIGS = st.builds(
+    TrainConfig,
+    max_rounds=st.integers(1, 30),
+    patience=st.integers(1, 10),
+    val_fraction=st.sampled_from([0.0, 0.15, 0.4]),
+    max_pairs=st.integers(1, 3),
+    max_bins=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    balance=st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=_reference_row_order_case(), config=TrainConfig(max_pairs=1, seed=0))
+@example(case=_signed_zero_case(),
+         config=TrainConfig(max_rounds=20, patience=5, max_pairs=1, max_bins=2, seed=0))
+@given(case=tables_with_ties(), config=SMALL_CONFIGS)
+def test_row_order_does_not_change_the_model(tmp_path_factory, case, config):
+    table, y, perm = case
+    tmp = tmp_path_factory.mktemp("order")
+    model_a = train_binary(table, y, config)
+    model_b = train_binary(table[perm], y[perm], config)
+    assert _saved(model_a, tmp / "a.json") == _saved(model_b, tmp / "b.json")
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=tables_with_ties(), config=SMALL_CONFIGS, n_classes=st.integers(2, 3))
+def test_save_load_save_is_byte_identical(tmp_path_factory, case, config, n_classes):
+    table, _, perm = case
+    labels = [f"c{k % n_classes}" for k in perm]
+    tmp = tmp_path_factory.mktemp("resave")
+    for model in (train_binary(table, (perm % 2).astype(float), config),
+                  train_ovr(table, labels, config)):
+        first = _saved(model, tmp / "first.json")
+        assert _saved(load_model(tmp / "first.json"), tmp / "second.json") == first
 
 
 def test_validation_loss_beats_intercept_alone():
@@ -230,14 +292,14 @@ def test_load_model_rejects_unknown_kind(tmp_path):
 
 
 def test_intercept_only_model_predicts_half():
-    model = EbmModel(("f0",), 0.0, BinMap((np.empty(0),)), [], [])
+    model = EbmModel(("f0",), 0.0, [], [])
     assert predict(model, np.array([123.0])) == pytest.approx(0.5)
-    shifted = EbmModel(("f0",), 2.0, BinMap((np.empty(0),)), [], [])
+    shifted = EbmModel(("f0",), 2.0, [], [])
     assert predict(shifted, np.array([0.0])) == pytest.approx(1 / (1 + math.exp(-2)))
 
 
 def test_ovr_tie_goes_to_earliest_class():
-    flat = EbmModel(("f0",), 0.0, BinMap((np.empty(0),)), [], [])
+    flat = EbmModel(("f0",), 0.0, [], [])
     ens = OvrEnsemble(("alpha", "beta"), [flat, flat])
     winners, probs = predict_ovr(ens, np.array([[1.0], [2.0]]))
     assert winners == ["alpha", "alpha"]
@@ -263,7 +325,7 @@ def test_train_rejects_bad_tables():
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
     ("max_rounds", 0), ("patience", 0), ("val_fraction", 1.0), ("val_fraction", -0.1),
-    ("val_fraction", math.nan), ("max_pairs", -1), ("max_bins", 1),
+    ("val_fraction", math.nan), ("max_pairs", -1), ("max_bins", 1), ("seed", -1),
 ])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ConfigError, match=field):

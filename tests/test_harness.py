@@ -111,6 +111,8 @@ def test_stratified_kfold_rejects_bad_input():
         stratified_kfold(["A"] * 10, k=1, seed=0)
     with pytest.raises(ConfigError):
         stratified_kfold(["A"] * 10 + ["B"] * 5, k=6, seed=0)
+    with pytest.raises(ConfigError, match="seed"):
+        stratified_kfold(["A"] * 10, k=2, seed=-1)
 
 
 # ---------------------------------------------------------------------------

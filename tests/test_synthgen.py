@@ -1,5 +1,7 @@
 """Tests for the synthetic condensate-image generator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ def test_synth_spec_rejects_bad_values():
         SynthSpec(128, 64, 1, -2, 1)
     with pytest.raises(ConfigError):
         SynthSpec(128, 64, 1, 1, 1, noise_sigma=-0.1)
+    for noise in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            SynthSpec(128, 64, 1, 1, 1, noise_sigma=noise)
+    with pytest.raises(ConfigError, match="seed"):
+        SynthSpec(128, 64, 1, 1, 1, seed=-1)
 
 
 def test_counts_names_and_truth_alignment():
