@@ -31,7 +31,6 @@ from .ebm import (  # noqa: F401
     TrainConfig,
     explain_global,
     load_model,
-    predict,
     predict_ovr,
     save_model,
     train_binary,

@@ -66,7 +66,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = subs.add_parser("tabularize", help="extract a feature table from images")
     sp.add_argument("--data", required=True, help="directory with labels.csv")
     sp.add_argument("--out", required=True, help="feature table CSV to write")
-    sp.add_argument("--mode", choices=("two_step", "full_grid"), default="two_step")
     sp.add_argument("--with-physics", action="store_true",
                     help="also fit the dip profile model to each image as extracted, "
                          "after --merge and --flip")
@@ -183,7 +182,7 @@ def _cmd_tabularize(args: argparse.Namespace) -> None:
             old, new = item.split("=", 1)
             merge_map[old] = new
         ds = dataio.reduce_classes(ds, merge_map, set(args.flip))
-    rows = tabularize(ds, mode=args.mode)
+    rows = tabularize(ds)
     note = ""
     if args.with_physics:
         rows, failed = fit_rows(rows, ds.images)

@@ -160,20 +160,15 @@ def load_csv_image(path: str | Path) -> GrayImage:
     return GrayImage(arr)
 
 
-def load_image(path: str | Path, format: str | None = None) -> GrayImage:
-    """Load one image; format 'pgm' or 'csv', inferred from suffix if None."""
+def load_image(path: str | Path) -> GrayImage:
+    """Load one image, as PGM or CSV by its file suffix."""
     path = Path(path)
-    if format is None:
-        suffix = path.suffix.lower().lstrip(".")
-        if suffix in ("pgm", "csv"):
-            format = suffix
-        else:
-            raise ConfigError(f"cannot infer image format from {path.name!r}")
-    if format == "pgm":
+    suffix = path.suffix.lower()
+    if suffix == ".pgm":
         return load_pgm(path)
-    if format == "csv":
+    if suffix == ".csv":
         return load_csv_image(path)
-    raise ConfigError(f"unsupported image format {format!r}")
+    raise ConfigError(f"cannot infer image format from {path.name!r}")
 
 
 def write_pgm(img: GrayImage, path: str | Path) -> None:
@@ -229,6 +224,10 @@ def reduce_classes(
 ) -> LabeledDataset:
     """Map labels through ``merge_map``; flip images whose original label is
     in ``flip_set`` (for orientation classes folded into their mirror class).
+
+    Raises ConfigError for a label missing from ``merge_map``, and for a
+    ``merge_map`` key or ``flip_set`` class that no image carries, which
+    is most likely a misspelling.
     """
     images, labels = [], []
     for img, label in zip(ds.images, ds.labels):
@@ -236,6 +235,10 @@ def reduce_classes(
             raise ConfigError(f"label {label!r} missing from merge map")
         images.append(flip_horizontal(img) if label in flip_set else img)
         labels.append(merge_map[label])
+    unused = sorted((set(merge_map) | set(flip_set)) - set(ds.labels))
+    if unused:
+        raise ConfigError(f"class {unused[0]!r} to merge or flip matches no image; "
+                          f"the dataset's classes are {ds.classes}")
     return LabeledDataset(images, labels, list(ds.names))
 
 
@@ -320,14 +323,12 @@ def write_feature_table(rows: list[FeatureRow], path: str | Path) -> None:
     if any(r.has_pf != with_pf for r in rows):
         raise SchemaError("rows mix PF and non-PF schemas")
     columns = _table_columns(with_pf)
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row.value(col)
-            cells.append(v if isinstance(v, str) else repr(float(v)))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(v if isinstance(v, str) else repr(float(v))
+                            for v in map(row.value, columns))
 
 
 def read_feature_table(path: str | Path) -> list[FeatureRow]:

@@ -306,32 +306,26 @@ def _screen_pairs(
     """Rank feature pairs by the residual variance a coarse 2-D per-cell
     mean fit explains, and keep the strongest few."""
     train = ~is_val
-    residual = (y - _sigmoid(logit))[train]
+    table_train = table[train]
     w_train = w[train]
+    wr_train = w_train * (y - _sigmoid(logit))[train]
     d = table.shape[1]
 
-    coarse_cuts = [_quantile_cuts(col[np.isfinite(col)], PAIR_BINS) for col in table[train].T]
+    coarse_cuts = build_bins(table_train, PAIR_BINS)
 
     scored = []
     for i in range(d):
-        bi = np.searchsorted(coarse_cuts[i], table[train, i], side="right")
-        ni = len(coarse_cuts[i]) + 1
         for j in range(i + 1, d):
-            bj = np.searchsorted(coarse_cuts[j], table[train, j], side="right")
-            nj = len(coarse_cuts[j]) + 1
-            flat = bi * nj + bj
-            cell_w = np.bincount(flat, weights=w_train, minlength=ni * nj)
-            cell_wr = np.bincount(flat, weights=w_train * residual, minlength=ni * nj)
+            ci, cj = coarse_cuts[i], coarse_cuts[j]
+            term = Term((i, j), (ci, cj), np.zeros((len(ci) + 2, len(cj) + 2)))
+            flat = term.bin_index(table_train)
+            cell_w = np.bincount(flat, weights=w_train, minlength=term.scores.size)
+            cell_wr = np.bincount(flat, weights=wr_train, minlength=term.scores.size)
             occupied = cell_w > 0
             explained = float((cell_wr[occupied] ** 2 / cell_w[occupied]).sum())
-            scored.append((explained, i, j))
+            scored.append((explained, i, j, term))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-    pairs = []
-    for _, i, j in scored[: config.max_pairs]:
-        ci, cj = coarse_cuts[i], coarse_cuts[j]
-        pairs.append(Term((i, j), (ci, cj), np.zeros((len(ci) + 2, len(cj) + 2))))
-    return pairs
+    return [term for *_, term in scored[: config.max_pairs]]
 
 
 def _finalize(model: EbmModel, table: np.ndarray, w: np.ndarray) -> None:
@@ -360,11 +354,6 @@ def predict_logit(model: EbmModel, table: np.ndarray) -> np.ndarray:
 
 def predict_proba(model: EbmModel, table: np.ndarray) -> np.ndarray:
     return _sigmoid(predict_logit(model, table))
-
-
-def predict(model: EbmModel, row: np.ndarray) -> float:
-    """Probability of the positive class for a single feature row."""
-    return float(predict_proba(model, np.atleast_2d(row))[0])
 
 
 def train_ovr(
@@ -457,8 +446,11 @@ def _model_from_obj(obj: dict) -> EbmModel:
             if term.scores.shape != expected:
                 raise ModelFormatError(f"term over features {list(term.features)} has scores "
                                        f"of shape {term.scores.shape}, expected {expected}")
+            if any((np.diff(c) <= 0).any() for c in term.cuts):
+                raise ModelFormatError(f"term over features {list(term.features)} has cuts "
+                                       "that are not strictly ascending")
         return EbmModel(names, float(obj["intercept"]), shapes, pairs, dict(obj["importances"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model object: {exc}") from exc
 
 
@@ -476,10 +468,25 @@ def save_model(model: EbmModel | OvrEnsemble, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load_model(path: str | Path) -> EbmModel | OvrEnsemble:
+    """Read a model or ensemble written by :func:`save_model`.
+
+    Raises ModelFormatError for anything prediction could not use as
+    written: a non-finite number, a malformed term, or an ensemble
+    whose classes and models do not pair up over one feature list.
+    """
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        # json accepts NaN, Infinity and overflowing literals unless told not to.
+        obj = json.loads(Path(path).read_text(), parse_float=_finite_number,
+                         parse_constant=_finite_number)
+    except (OSError, ValueError) as exc:
         raise ModelFormatError(f"{path}: cannot read model: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("schema_version") != SCHEMA_VERSION:
         raise ModelFormatError(
@@ -487,8 +494,18 @@ def load_model(path: str | Path) -> EbmModel | OvrEnsemble:
             f"got {obj.get('schema_version') if isinstance(obj, dict) else 'non-object'}"
         )
     if obj.get("kind") == "ovr":
-        models = [_model_from_obj(m) for m in obj.get("models", [])]
-        return OvrEnsemble(tuple(obj.get("classes", ())), models)
+        classes, models = obj.get("classes"), obj.get("models")
+        if not isinstance(models, list) or not models:
+            raise ModelFormatError(f"{path}: one-vs-rest model has no models")
+        if (not isinstance(classes, list) or not all(isinstance(c, str) for c in classes)
+                or len(set(classes)) != len(classes)):
+            raise ModelFormatError(f"{path}: classes {classes!r} are not distinct strings")
+        if len(classes) != len(models):
+            raise ModelFormatError(f"{path}: {len(classes)} classes but {len(models)} models")
+        models = [_model_from_obj(m) for m in models]
+        if any(m.feature_names != models[0].feature_names for m in models):
+            raise ModelFormatError(f"{path}: the models' feature_names differ")
+        return OvrEnsemble(tuple(classes), models)
     if obj.get("kind") == "binary":
         return _model_from_obj(obj)
     raise ModelFormatError(f"{path}: unknown model kind {obj.get('kind')!r}")

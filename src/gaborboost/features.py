@@ -234,26 +234,16 @@ def engineered_features(
     )
 
 
-def extract_features(
-    img: GrayImage,
-    name: str,
-    label: str,
-    grid: ParamGrid | None = None,
-    mode: str = "two_step",
-) -> FeatureRow:
+def extract_features(img: GrayImage, name: str, label: str) -> FeatureRow:
     """Run the full per-image analysis and package the result as a table row.
 
-    ``mode`` selects the parameter search: "two_step" (default) or
-    "full_grid".  The row carries no profile-fit columns; add them with
-    ``physfit.fit_rows`` on the same image.
+    The parameter search is ``two_step_optimize`` over ``default_grid``
+    for the image's size.  The row carries no profile-fit columns; add
+    them with ``physfit.fit_rows`` on the same image.
     """
-    if mode not in ("two_step", "full_grid"):
-        raise ConfigError(f"unknown optimizer mode {mode!r}")
-    if grid is None:
-        grid = default_grid(img.width, img.height)
+    grid = default_grid(img.width, img.height)
     flat = flatten_background(img)
-    optimize = two_step_optimize if mode == "two_step" else grid_optimize
-    cell = optimize(flat, grid)
+    cell = two_step_optimize(flat, grid)
     kernel = make_kernel(cell.params, dc_correct=True)
     field = convolve(flat, kernel)
     x_pix, y_pix = locate_center(field)
@@ -283,20 +273,12 @@ def extract_features(
     )
 
 
-def tabularize(
-    dataset: LabeledDataset,
-    grid: ParamGrid | None = None,
-    mode: str = "two_step",
-) -> list[FeatureRow]:
+def tabularize(dataset: LabeledDataset) -> list[FeatureRow]:
     """Extract one feature row per dataset image, in dataset order."""
 
     def job(index: int) -> FeatureRow:
         return extract_features(
-            dataset.images[index],
-            name=dataset.names[index],
-            label=dataset.labels[index],
-            grid=grid,
-            mode=mode,
+            dataset.images[index], name=dataset.names[index], label=dataset.labels[index]
         )
 
     return parallel_map(job, range(len(dataset.images)))

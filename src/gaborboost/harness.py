@@ -39,15 +39,9 @@ FEATURE_SETS = {
 _NAME_TO_COLUMN = {"x_star_norm": "x_star", "y_star_norm": "y_star"}
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    folds: tuple[tuple[int, ...], ...]
-    repeat: int
-    seed: int
-
-
-def stratified_kfold(labels: list[str], k: int, seed: int, repeat: int = 0) -> FoldSplit:
-    """Assign indices to k folds, round-robin within each shuffled class."""
+def stratified_kfold(labels: list[str], k: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Assign indices to k folds, round-robin within each shuffled class;
+    returns the folds, each as ascending indices."""
     if k < 2:
         raise ConfigError(f"k must be at least 2, got {k}")
     if seed < 0:
@@ -65,7 +59,7 @@ def stratified_kfold(labels: list[str], k: int, seed: int, repeat: int = 0) -> F
         members = members[rng.permutation(len(members))]
         for pos, idx in enumerate(members):
             folds[pos % k].append(int(idx))
-    return FoldSplit(tuple(tuple(sorted(f)) for f in folds), repeat, seed)
+    return tuple(tuple(sorted(f)) for f in folds)
 
 
 def score(classes: Sequence[str], true: Sequence[str], predicted: Sequence[str]) -> dict:
@@ -198,8 +192,7 @@ def run_cv(
 
     jobs = []
     for repeat in range(repeats):
-        split = stratified_kfold(labels, k, seed + repeat, repeat)
-        for fold_no, fold in enumerate(split.folds):
+        for fold_no, fold in enumerate(stratified_kfold(labels, k, seed + repeat)):
             jobs.append((repeat, fold_no, np.asarray(fold, dtype=np.int64)))
 
     def evaluate(job: tuple[int, int, np.ndarray]) -> dict:

@@ -111,11 +111,7 @@ def initial_guess(profile: np.ndarray) -> tuple[float, float, float, float, floa
     return amp, center, width, 0.0, offset
 
 
-def fit_profile(
-    profile: np.ndarray,
-    guess: tuple[float, float, float, float, float] | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-) -> FitResult:
+def fit_profile(profile: np.ndarray) -> FitResult:
     """Fit the dip model to a 1-D profile.
 
     Raises FitError for a flat profile, or when the iteration lands on
@@ -129,13 +125,13 @@ def fit_profile(
         raise FitError("flat profile has no dip to fit")
     x = np.arange(y.size, dtype=np.float64)
 
-    params = np.asarray(guess if guess is not None else initial_guess(y), dtype=np.float64)
+    params = np.asarray(initial_guess(y), dtype=np.float64)
     residual = dip_model(x, *params) - y
     cost = 0.5 * float(residual @ residual)
 
     damping = 1e-3
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         jac = _jacobian(x, params[0], params[1], params[2], params[3])
         grad = jac.T @ residual
         hess = jac.T @ jac

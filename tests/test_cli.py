@@ -305,3 +305,47 @@ def test_evaluate_rejects_malformed_shape(small_model, small_table, capsys, key,
     rc = main(["evaluate", "--model", str(small_model), "--table", str(small_table)])
     assert rc == 1
     assert one_error_line(capsys, message)
+
+
+def _keep_three_features(obj):
+    model = obj["models"][1]
+    for key in ("feature_names", "bins", "shapes"):
+        model[key] = model[key][:3]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda obj: obj.update(models=[]), "has no models"),
+    (lambda obj: obj.update(classes=["a", "a", "b"]), "not distinct strings"),
+    (lambda obj: obj.update(classes=[0, 1, 2]), "not distinct strings"),
+    (lambda obj: obj["classes"].pop(), "2 classes but 3 models"),
+    (lambda obj: obj["models"].pop(), "3 classes but 2 models"),
+    (_keep_three_features, "feature_names differ"),
+    (lambda obj: obj["models"][0].update(intercept=float("nan")), "non-finite number NaN"),
+    (lambda obj: obj["models"][2]["shapes"][2]["scores"].__setitem__(0, float("-inf")),
+     "non-finite number -Infinity"),
+    (lambda obj: obj["models"][1]["bins"][2].reverse(), "not strictly ascending"),
+], ids=["no-models", "repeated-class", "int-classes", "2-classes-3-models",
+        "3-classes-2-models", "3-of-10-features", "nan-intercept", "inf-score",
+        "reversed-cuts"])
+def test_evaluate_rejects_inconsistent_ensemble(small_model, small_table, tmp_path, capsys,
+                                                mutate, message):
+    obj = json.loads(small_model.read_text())
+    mutate(obj)
+    small_model.write_text(json.dumps(obj))
+    out = tmp_path / "scores.json"
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(small_model), "--table", str(small_table),
+               "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--merge", "vortx=partial"], ["--flip", "vortx"]])
+def test_tabularize_rejects_unknown_class(small_images, tmp_path, capsys, flags):
+    out = tmp_path / "t.csv"
+    capsys.readouterr()
+    rc = main(["tabularize", "--data", str(small_images), "--out", str(out), *flags])
+    assert rc == 1
+    assert one_error_line(capsys, "'vortx'", "['longitudinal', 'partial', 'vortex']")
+    assert not out.exists()

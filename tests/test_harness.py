@@ -1,5 +1,7 @@
 """Tests for the cross-validation harness and report assembly."""
 
+import json
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -64,19 +66,19 @@ def separable_rows(per_class=30):
 
 def test_stratified_kfold_small_balanced_case():
     labels = ["A"] * 6 + ["B"] * 6
-    split = stratified_kfold(labels, k=6, seed=0)
-    assert len(split.folds) == 6
-    for fold in split.folds:
+    folds = stratified_kfold(labels, k=6, seed=0)
+    assert len(folds) == 6
+    for fold in folds:
         assert len(fold) == 2
         assert sorted(labels[i] for i in fold) == ["A", "B"]
-    all_indices = sorted(i for fold in split.folds for i in fold)
+    all_indices = sorted(i for fold in folds for i in fold)
     assert all_indices == list(range(12))
 
 
 def test_stratified_kfold_per_class_counts():
     labels = ["big"] * 2229 + ["mid"] * 796 + ["rare"] * 66
-    split = stratified_kfold(labels, k=6, seed=3)
-    for fold in split.folds:
+    folds = stratified_kfold(labels, k=6, seed=3)
+    for fold in folds:
         fold_labels = [labels[i] for i in fold]
         assert fold_labels.count("rare") == 11
         assert fold_labels.count("big") in (371, 372)
@@ -89,11 +91,11 @@ def test_stratified_kfold_partition_property():
         k = int(rng.integers(2, 7))
         counts = rng.integers(k, 40, size=int(rng.integers(1, 4)))
         labels = [f"c{ci}" for ci, n in enumerate(counts) for _ in range(n)]
-        split = stratified_kfold(labels, k=k, seed=int(rng.integers(1000)))
-        seen = sorted(i for fold in split.folds for i in fold)
+        folds = stratified_kfold(labels, k=k, seed=int(rng.integers(1000)))
+        seen = sorted(i for fold in folds for i in fold)
         assert seen == list(range(len(labels)))
         for ci, n in enumerate(counts):
-            per_fold = [sum(1 for i in fold if labels[i] == f"c{ci}") for fold in split.folds]
+            per_fold = [sum(1 for i in fold if labels[i] == f"c{ci}") for fold in folds]
             assert max(per_fold) - min(per_fold) <= 1
 
 
@@ -102,8 +104,8 @@ def test_stratified_kfold_seed_control():
     a = stratified_kfold(labels, k=5, seed=0)
     b = stratified_kfold(labels, k=5, seed=0)
     c = stratified_kfold(labels, k=5, seed=1)
-    assert a.folds == b.folds
-    assert a.folds != c.folds
+    assert a == b
+    assert a != c
 
 
 def test_stratified_kfold_rejects_bad_input():
@@ -300,3 +302,18 @@ def test_traced_spans_keep_the_benchmark_contract(monkeypatch):
     assert all(index.parent_name(s) == "ebm.pool_item" for s in models)
     assert all(index.parent_name(s) == "harness.run_cv" for s in cells)
     assert {s.thread for s in models} == {threading.get_ident()}
+
+
+def test_benchmark_library_calls_still_work():
+    """perfbench calls extract_features, tabularize, train_final and
+    predict_ovr directly; a traced stream-mixed run must complete, check
+    its outputs and find every name it wraps or measures."""
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "stream-mixed",
+         "--seconds", "0", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert json.loads(lines[-1])["correct"] is True
+    assert not [line for line in lines if line.startswith(("absent:", "unwrapped"))]

@@ -7,7 +7,7 @@ import pytest
 
 from gaborboost.dataio import load_dataset
 from gaborboost.errors import ConfigError
-from gaborboost.features import default_grid, extract_features
+from gaborboost.features import extract_features
 from gaborboost.synthgen import SynthSpec, generate, write_dataset
 
 
@@ -93,12 +93,10 @@ def test_vortex_bottom_right_shoulder_dominates():
 
 def test_extracted_features_separate_the_classes():
     """Feature extraction sees the class signatures the generator plants."""
-    grid = default_grid(128, 64)
-
     spec = SynthSpec(128, 64, 2, 2, 0, noise_sigma=0.0, seed=3)
     dataset, truths = generate(spec)
     rows = [
-        extract_features(img, t.filename, t.label, grid=grid)
+        extract_features(img, t.filename, t.label)
         for img, t in zip(dataset.images, truths)
     ]
     for row, truth in zip(rows, truths):
@@ -114,7 +112,7 @@ def test_extracted_features_separate_the_classes():
     vortex_spec = SynthSpec(128, 64, 0, 0, 5, noise_sigma=0.0, seed=3)
     vortex_ds, vortex_truths = generate(vortex_spec)
     for img, t in zip(vortex_ds.images, vortex_truths):
-        row = extract_features(img, t.filename, t.label, grid=grid)
+        row = extract_features(img, t.filename, t.label)
         assert row.egf_bl_br < 1.0
         assert row.egf_tl_tr > 1.0
 
