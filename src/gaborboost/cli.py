@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataio, ebm, harness, render, synthgen
@@ -21,27 +22,17 @@ from .util import parse_config_file
 
 
 def _add_train_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--learning-rate", type=float, default=0.05)
-    sp.add_argument("--max-rounds", type=int, default=1000)
-    sp.add_argument("--patience", type=int, default=50)
-    sp.add_argument("--val-fraction", type=float, default=0.15)
-    sp.add_argument("--max-pairs", type=int, default=10)
-    sp.add_argument("--max-bins", type=int, default=64)
-    sp.add_argument("--balance", action="store_true",
-                    help="inverse-frequency sample weights in the loss")
+    """One flag per TrainConfig field, with the field's default."""
+    for f in fields(ebm.TrainConfig):
+        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata.get("help")
+        if isinstance(f.default, bool):
+            sp.add_argument(flag, action="store_true", default=f.default, help=help_text)
+        else:
+            sp.add_argument(flag, type=type(f.default), default=f.default, help=help_text)
 
 
 def _train_config(args: argparse.Namespace) -> ebm.TrainConfig:
-    return ebm.TrainConfig(
-        learning_rate=args.learning_rate,
-        max_rounds=args.max_rounds,
-        patience=args.patience,
-        val_fraction=args.val_fraction,
-        max_pairs=args.max_pairs,
-        max_bins=args.max_bins,
-        seed=args.seed,
-        balance=args.balance,
-    )
+    return ebm.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(ebm.TrainConfig)})
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -85,7 +76,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--table", required=True)
     sp.add_argument("--features", choices=sorted(harness.FEATURE_SETS), default="GF+EGF")
     sp.add_argument("--out", required=True, help="model JSON to write")
-    sp.add_argument("--seed", type=int, default=0)
     _add_train_flags(sp)
     by_name["train"] = sp
 
@@ -106,7 +96,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--features", choices=sorted(harness.FEATURE_SETS), default="GF+EGF")
     sp.add_argument("--repeats", type=int, default=5)
     sp.add_argument("--k", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="report JSON to write")
     _add_train_flags(sp)
     by_name["cv"] = sp

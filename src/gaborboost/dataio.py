@@ -133,9 +133,13 @@ def load_pgm(path: str | Path) -> GrayImage:
 def load_csv_image(path: str | Path) -> GrayImage:
     """Read a CSV matrix; values are scaled by the max absolute value."""
     path = Path(path)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc}") from None
     rows: list[list[float]] = []
     width = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -179,27 +183,34 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
     Path(path).write_bytes(header + quantized.tobytes())
 
 
+def _csv_records(path: Path) -> list[list[str]]:
+    """Every record of a CSV text file; undecodable bytes are a ParseError."""
+    try:
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc}") from None
+
+
 def load_dataset(directory: str | Path) -> LabeledDataset:
     """Load every image listed in <directory>/labels.csv, sorted by filename."""
     directory = Path(directory)
     manifest = directory / "labels.csv"
     if not manifest.is_file():
         raise ParseError(f"{manifest}: missing labels manifest")
-    with open(manifest, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["filename", "label"]:
-            raise SchemaError(f"{manifest}: expected header filename,label, got {header}")
-        entries = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{manifest}: ragged row at line {lineno}")
-            if row[0] in entries:
-                raise ParseError(f"{manifest}: {row[0]!r} listed twice, at lines "
-                                 f"{entries[row[0]][1]} and {lineno}")
-            entries[row[0]] = (row[1], lineno)
+    header, *records = _csv_records(manifest) or [None]
+    if header != ["filename", "label"]:
+        raise SchemaError(f"{manifest}: expected header filename,label, got {header}")
+    entries = {}
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ParseError(f"{manifest}: ragged row at line {lineno}")
+        if row[0] in entries:
+            raise ParseError(f"{manifest}: {row[0]!r} listed twice, at lines "
+                             f"{entries[row[0]][1]} and {lineno}")
+        entries[row[0]] = (row[1], lineno)
     images, labels, names = [], [], []
     for fname, (label, _) in sorted(entries.items()):
         images.append(load_image(directory / fname))
@@ -325,48 +336,49 @@ def write_feature_table(rows: list[FeatureRow], path: str | Path) -> None:
     columns = _table_columns(with_pf)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # csv quotes only the line terminator's "\n"; a bare "\r" would read
+        # back as a line break, so a row holding one is quoted whole.
+        quoting = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow(v if isinstance(v, str) else repr(float(v))
-                            for v in map(row.value, columns))
+            cells = [v if isinstance(v, str) else repr(float(v)) for v in map(row.value, columns)]
+            (quoting if any("\r" in c for c in cells) else writer).writerow(cells)
 
 
 def read_feature_table(path: str | Path) -> list[FeatureRow]:
     """Read a feature CSV written by :func:`write_feature_table`."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty feature table")
-        for expect_pf in (False, True):
-            if tuple(header) == _table_columns(expect_pf):
-                with_pf = expect_pf
-                break
-        else:
-            known = set(_table_columns(True))
-            unknown = [c for c in header if c not in known]
-            if unknown:
-                raise SchemaError(f"{path}: unknown column {unknown[0]!r}")
-            raise SchemaError(f"{path}: header mismatch: {header}")
-        columns = _table_columns(with_pf)
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(columns):
-                raise ParseError(f"{path}: ragged row at line {lineno}")
-            kwargs = {}
-            for col, cell in zip(columns, record):
-                attr = _COLUMN_TO_ATTR.get(col, col)
-                if col in ("id", "label"):
-                    kwargs[attr] = cell
-                else:
-                    try:
-                        kwargs[attr] = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: line {lineno}: bad value {cell!r} in {col}"
-                        ) from None
-            rows.append(FeatureRow(**kwargs))
+    header, *records = _csv_records(path) or [None]
+    if header is None:
+        raise SchemaError(f"{path}: empty feature table")
+    for expect_pf in (False, True):
+        if tuple(header) == _table_columns(expect_pf):
+            with_pf = expect_pf
+            break
+    else:
+        known = set(_table_columns(True))
+        unknown = [c for c in header if c not in known]
+        if unknown:
+            raise SchemaError(f"{path}: unknown column {unknown[0]!r}")
+        raise SchemaError(f"{path}: header mismatch: {header}")
+    columns = _table_columns(with_pf)
+    rows = []
+    for lineno, record in enumerate(records, start=2):
+        if not record:
+            continue
+        if len(record) != len(columns):
+            raise ParseError(f"{path}: ragged row at line {lineno}")
+        kwargs = {}
+        for col, cell in zip(columns, record):
+            attr = _COLUMN_TO_ATTR.get(col, col)
+            if col in ("id", "label"):
+                kwargs[attr] = cell
+            else:
+                try:
+                    kwargs[attr] = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}: bad value {cell!r} in {col}"
+                    ) from None
+        rows.append(FeatureRow(**kwargs))
     return rows

@@ -35,7 +35,8 @@ class TrainConfig:
     max_pairs: int = 10
     max_bins: int = 64
     seed: int = 0
-    balance: bool = False
+    balance: bool = field(
+        default=False, metadata={"help": "inverse-frequency sample weights in the loss"})
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -174,62 +175,52 @@ def _boost_terms(
     logit: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    is_val: np.ndarray,
+    n_train: int,
     cfg: TrainConfig,
 ) -> np.ndarray:
     """Cyclic boosting of ``terms`` on top of ``logit`` with early stopping.
 
-    Each term's scores are replaced by their best-validation-loss
-    snapshot; the matching logit vector is returned.
+    Rows ``[:n_train]`` train and the rest validate; with no validation
+    rows the loss is read on the training rows.  ``logit`` is updated in
+    place, each term's scores are replaced by their best-validation-loss
+    snapshot, and the matching logit vector is returned.
     """
-    train = ~is_val
-    have_val = bool(is_val.any())
-    # Train and validation rows keep their own logits, and what a term
-    # needs that no round changes (its rows' bins, the per-bin training
-    # weight) is computed once per stage.
-    y_train, w_train = y[train], w[train]
-    logit_train, logit_val = logit[train], logit[is_val]
+    # What a term needs that no round changes (its rows' bins, the
+    # per-bin training weight) is computed once per stage.
+    y_train, w_train, logit_train = y[:n_train], w[:n_train], logit[:n_train]
     prepared = []
     for term in terms:
         bins = term.bin_index(table)
-        bins_train = bins[train]
-        bin_w = np.bincount(bins_train, weights=w_train, minlength=term.scores.size)
+        bin_w = np.bincount(bins[:n_train], weights=w_train, minlength=term.scores.size)
         # An empty bin sums no residuals, so dividing its 0 by 1 updates it by 0.
         bin_w[bin_w <= 0] = 1.0
-        prepared.append((bins_train, bins[is_val], term.scores.size, bin_w))
-    # The loss is read on the validation rows, or on the training rows
-    # when there are none; the logits are updated in place.
-    loss_rows = is_val if have_val else train
-    y_loss, w_loss = y[loss_rows], w[loss_rows]
-    logit_loss = logit_val if have_val else logit_train
+        prepared.append((bins, bins[:n_train], term.scores.size, bin_w))
+    loss_rows = slice(n_train if n_train < len(y) else 0, None)
+    y_loss, w_loss, logit_loss = y[loss_rows], w[loss_rows], logit[loss_rows]
 
     scores = [term.scores.ravel().copy() for term in terms]
     best_loss = _log_loss(y_loss, logit_loss, w_loss)
     best_scores = [s.copy() for s in scores]
-    best_train, best_val = logit_train.copy(), logit_val.copy()
+    best_logit = logit.copy()
     best_round = 0
 
     for round_no in range(1, cfg.max_rounds + 1):
-        for (bins_train, bins_val, n_bins, bin_w), score in zip(prepared, scores):
+        for (bins, bins_train, n_bins, bin_w), score in zip(prepared, scores):
             residual = y_train - _sigmoid(logit_train)
             bin_wr = np.bincount(bins_train, weights=w_train * residual, minlength=n_bins)
             update = cfg.learning_rate * bin_wr / bin_w
             score += update
-            logit_train += update[bins_train]
-            logit_val += update[bins_val]
+            logit += update[bins]
         loss = _log_loss(y_loss, logit_loss, w_loss)
         if loss < best_loss:
             best_loss = loss
             best_scores = [s.copy() for s in scores]
-            best_train, best_val = logit_train.copy(), logit_val.copy()
+            best_logit = logit.copy()
             best_round = round_no
         elif round_no - best_round >= cfg.patience:
             break
     for term, best in zip(terms, best_scores):
         term.scores = best.reshape(term.scores.shape)
-    best_logit = np.empty_like(logit)
-    best_logit[train] = best_train
-    best_logit[is_val] = best_val
     return best_logit
 
 
@@ -239,7 +230,10 @@ def train_binary(
     config: TrainConfig = TrainConfig(),
     feature_names: tuple[str, ...] | None = None,
 ) -> EbmModel:
-    """Fit one binary model; see the module docstring for the recipe."""
+    """Fit one binary model; see the module docstring for the recipe.
+
+    Boosting reads the training rows first, then the validation rows,
+    each block in canonical order."""
     table = np.asarray(table, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if table.ndim != 2 or len(table) != len(y):
@@ -280,17 +274,20 @@ def train_binary(
     shapes = [Term((i,), (cuts[i],), np.zeros(len(cuts[i]) + 2)) for i in range(d)]
     model = EbmModel(tuple(feature_names), intercept, shapes, [])
 
-    if len(np.unique(y)) < 2:
-        # Nothing to separate: keep the intercept-only model.
-        _finalize(model, table, w)
-        return model
+    # A single-class table has nothing to separate and keeps the intercept-only model.
+    if len(np.unique(y)) > 1:
+        is_val = _val_split(y, config)
+        n_train = n - int(is_val.sum())
+        train_first = np.argsort(is_val, kind="stable")
+        rows, labels, weights = table[train_first], y[train_first], w[train_first]
+        logit = _boost_terms(model.shapes, rows, np.full(n, intercept), labels, weights,
+                             n_train, config)
+        if config.max_pairs > 0 and d >= 2:
+            model.pairs = _screen_pairs(rows[:n_train], labels[:n_train], weights[:n_train],
+                                        logit[:n_train], config)
+            _boost_terms(model.pairs, rows, logit, labels, weights, n_train, config)
 
-    is_val = _val_split(y, config)
-    logit = _boost_terms(model.shapes, table, np.full(n, intercept), y, w, is_val, config)
-    if config.max_pairs > 0 and d >= 2:
-        model.pairs = _screen_pairs(table, y, w, is_val, logit, config)
-        _boost_terms(model.pairs, table, logit, y, w, is_val, config)
-
+    # Centring sums over the canonical order, which the split does not touch.
     _finalize(model, table, w)
     return model
 
@@ -299,28 +296,24 @@ def _screen_pairs(
     table: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    is_val: np.ndarray,
     logit: np.ndarray,
     config: TrainConfig,
 ) -> list[Term]:
     """Rank feature pairs by the residual variance a coarse 2-D per-cell
-    mean fit explains, and keep the strongest few."""
-    train = ~is_val
-    table_train = table[train]
-    w_train = w[train]
-    wr_train = w_train * (y - _sigmoid(logit))[train]
+    mean fit explains on the rows given, and keep the strongest few."""
+    wr = w * (y - _sigmoid(logit))
     d = table.shape[1]
 
-    coarse_cuts = build_bins(table_train, PAIR_BINS)
+    coarse_cuts = build_bins(table, PAIR_BINS)
 
     scored = []
     for i in range(d):
         for j in range(i + 1, d):
             ci, cj = coarse_cuts[i], coarse_cuts[j]
             term = Term((i, j), (ci, cj), np.zeros((len(ci) + 2, len(cj) + 2)))
-            flat = term.bin_index(table_train)
-            cell_w = np.bincount(flat, weights=w_train, minlength=term.scores.size)
-            cell_wr = np.bincount(flat, weights=wr_train, minlength=term.scores.size)
+            flat = term.bin_index(table)
+            cell_w = np.bincount(flat, weights=w, minlength=term.scores.size)
+            cell_wr = np.bincount(flat, weights=wr, minlength=term.scores.size)
             occupied = cell_w > 0
             explained = float((cell_wr[occupied] ** 2 / cell_w[occupied]).sum())
             scored.append((explained, i, j, term))
@@ -416,7 +409,11 @@ def _model_from_obj(obj: dict) -> EbmModel:
     try:
         names = tuple(obj["feature_names"])
         bins = [np.asarray(c, dtype=np.float64) for c in obj["bins"]]
-        n_features = min(len(names), len(bins))
+        n_features = len(names)
+        # A feature without its shape would drop out of prediction silently.
+        if not len(obj["shapes"]) == len(bins) == n_features:
+            raise ModelFormatError(f"{len(obj['shapes'])} shapes and {len(bins)} bins "
+                                   f"for {n_features} features; expected one each per feature")
 
         def feature(index: object) -> int:
             # A negative index would wrap silently at prediction time.

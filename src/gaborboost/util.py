@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 THREADS_ENV = "GABORBOOST_THREADS"
 
@@ -62,7 +62,10 @@ def parallel_map(fn, items):
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Parse a plain key=value file; '#' starts a comment, blanks ignored."""
     result: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

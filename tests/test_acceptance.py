@@ -11,6 +11,7 @@ artifacts byte for byte.
 """
 
 import bisect
+import hashlib
 import json
 import math
 import time
@@ -423,6 +424,16 @@ def test_criterion_10_profile_fit_self_consistency():
         f"criterion 10: noiseless parameter recovery within {worst_rel:.2e} relative; "
         f"mirroring negates skew within {worst_mirror:.2e}",
     )
+
+
+def test_pipeline_reproduces_committed_digests(pipeline):
+    """The experiment's table, report and model are the bytes whose digests
+    the benchmark's reference record commits."""
+    record = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "reference.json"
+    expected = json.loads(record.read_text())
+    for artifact in ("table", "report", "model"):
+        digest = hashlib.sha256(pipeline[f"{artifact}_path"].read_bytes()).hexdigest()
+        assert digest == expected[f"{artifact}_sha256"], artifact
 
 
 def test_criterion_11_experiment_is_deterministic(pipeline, tmp_path_factory):

@@ -12,7 +12,7 @@ import pytest
 
 import gaborboost
 from gaborboost import ebm
-from gaborboost.cli import main
+from gaborboost.cli import _train_config, build_parser, main
 from gaborboost.dataio import FeatureRow, read_feature_table, write_feature_table
 
 FAST_TRAIN = ["--max-rounds", "200", "--patience", "10", "--max-pairs", "0"]
@@ -89,6 +89,13 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     rc = main(["generate", "--out", str(out2), "--config", str(cfg), "--vortex", "3"])
     assert rc == 0
     assert len(list(out2.glob("vortex_*.pgm"))) == 3
+
+
+@pytest.mark.parametrize("argv", [["cv", "--table", "t.csv"],
+                                  ["train", "--table", "t.csv", "--out", "m.json"]])
+def test_training_flags_default_to_train_config(argv):
+    parser, _ = build_parser()
+    assert _train_config(parser.parse_args(argv)) == ebm.TrainConfig()
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
@@ -313,6 +320,12 @@ def _keep_three_features(obj):
         model[key] = model[key][:3]
 
 
+def _keep_two_shapes(obj):
+    for model in obj["models"]:
+        for key in ("bins", "shapes"):
+            model[key] = model[key][:2]
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda obj: obj.update(models=[]), "has no models"),
     (lambda obj: obj.update(classes=["a", "a", "b"]), "not distinct strings"),
@@ -320,13 +333,14 @@ def _keep_three_features(obj):
     (lambda obj: obj["classes"].pop(), "2 classes but 3 models"),
     (lambda obj: obj["models"].pop(), "3 classes but 2 models"),
     (_keep_three_features, "feature_names differ"),
+    (_keep_two_shapes, "2 shapes and 2 bins for 10 features"),
     (lambda obj: obj["models"][0].update(intercept=float("nan")), "non-finite number NaN"),
     (lambda obj: obj["models"][2]["shapes"][2]["scores"].__setitem__(0, float("-inf")),
      "non-finite number -Infinity"),
     (lambda obj: obj["models"][1]["bins"][2].reverse(), "not strictly ascending"),
 ], ids=["no-models", "repeated-class", "int-classes", "2-classes-3-models",
-        "3-classes-2-models", "3-of-10-features", "nan-intercept", "inf-score",
-        "reversed-cuts"])
+        "3-classes-2-models", "3-of-10-features", "2-of-10-shapes", "nan-intercept",
+        "inf-score", "reversed-cuts"])
 def test_evaluate_rejects_inconsistent_ensemble(small_model, small_table, tmp_path, capsys,
                                                 mutate, message):
     obj = json.loads(small_model.read_text())
@@ -349,3 +363,31 @@ def test_tabularize_rejects_unknown_class(small_images, tmp_path, capsys, flags)
     assert rc == 1
     assert one_error_line(capsys, "'vortx'", "['longitudinal', 'partial', 'vortex']")
     assert not out.exists()
+
+
+def _undecodable(kind, tmp_path, small_table):
+    """argv that makes the CLI read one file holding a byte that is not UTF-8."""
+    data = tmp_path / "data"
+    data.mkdir()
+    if kind == "csv-image":
+        (data / "labels.csv").write_text("filename,label\nimg.csv,vortex\n")
+        (data / "img.csv").write_bytes(b"0.5,0.25\n0.5,\xff\n")
+        return ["tabularize", "--data", str(data), "--out", str(tmp_path / "t.csv")], "img.csv"
+    if kind == "manifest":
+        (data / "labels.csv").write_bytes(b"filename,label\nimg.csv,\xff\n")
+        return ["tabularize", "--data", str(data), "--out", str(tmp_path / "t.csv")], "labels.csv"
+    if kind == "feature-table":
+        small_table.write_bytes(small_table.read_bytes().replace(b"vortex_9", b"vortex_\xff"))
+        return ["cv", "--table", str(small_table), *FAST_TRAIN], small_table.name
+    config = tmp_path / "train.cfg"
+    config.write_bytes(b"max-rounds = 10\n# \xff\n")
+    return ["train", "--table", str(small_table), "--out", str(tmp_path / "m.json"),
+            "--config", str(config)], config.name
+
+
+@pytest.mark.parametrize("kind", ["csv-image", "manifest", "feature-table", "config"])
+def test_undecodable_text_reports_one_error(small_table, tmp_path, capsys, kind):
+    argv, name = _undecodable(kind, tmp_path, small_table)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert one_error_line(capsys, name, "not a text file")

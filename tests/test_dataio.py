@@ -12,13 +12,15 @@ from gaborboost.dataio import (
     LabeledDataset,
     flip_horizontal,
     load_dataset,
+    load_csv_image,
     load_image,
+    load_pgm,
     read_feature_table,
     reduce_classes,
     write_feature_table,
     write_pgm,
 )
-from gaborboost.errors import ConfigError, ParseError, SchemaError, SizeError
+from gaborboost.errors import ConfigError, GaborboostError, ParseError, SchemaError, SizeError
 from oracles import rows_close
 
 
@@ -107,6 +109,23 @@ def test_load_csv_image_ragged_row(tmp_path):
     path.write_text("1,2\n3\n")
     with pytest.raises(ParseError, match="ragged row at line 2"):
         load_image(path)
+
+
+@settings(max_examples=200, deadline=None)
+@example(data=b"P2\n2 1\n255\n0 9\n")
+@example(data=b"0.5,\xff\n")
+@given(data=st.one_of(st.binary(max_size=64),
+                      st.builds(bytes.__add__, st.sampled_from([b"P2\n", b"P5\n"]),
+                                st.binary(max_size=64))))
+def test_image_parsers_raise_only_library_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("image") / "img"
+    path.write_bytes(data)
+    for parse in (load_pgm, load_csv_image):
+        try:
+            image = parse(path)
+        except GaborboostError:
+            continue
+        assert np.isfinite(image.data).all()
 
 
 def test_load_image_format_inference(tmp_path):
@@ -227,7 +246,7 @@ def test_feature_table_roundtrip_with_pf(tmp_path):
 
 
 # Commas, quotes and newlines need CSV quoting; spaces must survive without it.
-TABLE_TEXT = st.text(st.sampled_from('ab ,"\n.'), max_size=8)
+TABLE_TEXT = st.text(st.sampled_from('ab ,"\n\r.'), max_size=8)
 FLOAT_FIELDS = [f.name for f in fields(FeatureRow) if f.name not in ("id", "label", "roi_clamped")]
 
 
@@ -252,6 +271,7 @@ def _exact(row):
 @settings(max_examples=60, deadline=None)
 @example(rows=[make_row('a,b "c".pgm', 'la bel,"x"', q_tl=float("nan"), q_tr=float("inf"),
                         q_bl=float("-inf"), q_br=-0.0, x_star=5e-324)])
+@example(rows=[make_row("a\rb.pgm", "x\r"), make_row()])
 @given(rows=feature_rows())
 def test_feature_table_round_trips_any_row(tmp_path_factory, rows):
     tmp = tmp_path_factory.mktemp("table")
