@@ -184,10 +184,15 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
 
 
 def _csv_records(path: Path) -> list[list[str]]:
-    """Every record of a CSV text file; undecodable bytes are a ParseError."""
+    """Every record of a CSV text file; undecodable bytes and malformed CSV,
+    such as a field over the csv module's size limit, are a ParseError."""
     try:
         with open(path, newline="") as fh:
-            return list(csv.reader(fh))
+            reader = csv.reader(fh)
+            try:
+                return list(reader)
+            except csv.Error as exc:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file: {exc}") from None
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import FeatureRow, GrayImage, LabeledDataset
 from .errors import ConfigError, SizeError
-from .gabor import GaborParams, block_scores, convolve, make_kernel
+from .gabor import GaborParams, ScoreBlock, convolve, make_kernel
 from .util import parallel_map, running_median
 
 # Quadrant ratios are guarded against empty quadrants by this epsilon.
@@ -94,7 +94,7 @@ def _scan(
     sigma_ys: tuple[float, ...],
     lams: tuple[float, ...],
 ) -> GridResult:
-    """Best cell of the product of three axes, one ``block_scores`` call per sigma_x.
+    """Best cell of the product of three axes, one ``ScoreBlock`` per sigma_x.
 
     A cell scores its response-field norm times (sigma_x * sigma_y)**0.25.
     The raw norm grows monotonically as either sigma shrinks (a narrower
@@ -104,17 +104,42 @@ def _scan(
     per-axis score peaks where the kernel sigma matches the packet sigma.
     Ties break toward the earlier cell in (sigma_x, sigma_y, lam) order,
     which the strict comparison gives since every axis is scanned ascending.
+
+    Every cell is first scored in single precision, with a margin its error
+    cannot exceed (``ScoreBlock.single_norms``).  Only a cell whose score
+    plus margin reaches the best score minus margin can be the best, so
+    only those cells' rows and columns are scored again in float64 with
+    their block's full padding.  The chosen cell and its score are
+    therefore exactly those of scanning every cell in float64.  If a
+    single-precision score is not finite, every cell is rescored.
     """
+    blocks = [ScoreBlock(img, sx, sigma_ys, lams) for sx in sigma_xs]
+    coarse = []
+    for sx, block in zip(sigma_xs, blocks):
+        norms, margins = block.single_norms()
+        factor = np.array([(sx * sy) ** 0.25 for sy in sigma_ys])[:, None]
+        coarse.append((norms * factor, margins * factor))
+    if all(np.isfinite(scores).all() for scores, _ in coarse):
+        floor = max(float((scores - margin).max()) for scores, margin in coarse)
+    else:
+        floor = -math.inf
+
     best_score = -math.inf
     best = (sigma_xs[0], sigma_ys[0], lams[0])
-    for sx in sigma_xs:
-        norms = block_scores(img, sx, sigma_ys, lams)
-        for i, sy in enumerate(sigma_ys):
-            for j, lam in enumerate(lams):
-                score = float(norms[i, j]) * (sx * sy) ** 0.25
+    for sx, block, (scores, margin) in zip(sigma_xs, blocks, coarse):
+        candidate = ~(scores + margin < floor)  # NaN scores stay candidates
+        rows = np.flatnonzero(candidate.any(axis=1))
+        cols = np.flatnonzero(candidate.any(axis=0))
+        if rows.size == 0:
+            continue
+        norms = block.norms(rows, cols)
+        for i, row in zip(rows, norms):
+            sy = sigma_ys[i]
+            for j, norm in zip(cols, row):
+                score = float(norm) * (sx * sy) ** 0.25
                 if score > best_score:
                     best_score = score
-                    best = (sx, sy, lam)
+                    best = (sx, sy, lams[j])
     evals = len(sigma_xs) * len(sigma_ys) * len(lams)
     return GridResult(*best, score=best_score, evaluations=evals)
 

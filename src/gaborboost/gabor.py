@@ -104,6 +104,151 @@ def convolve(img: GrayImage, kernel: ComplexKernel) -> np.ndarray:
     return _convolve_fft_valid(padded.astype(np.complex128), kernel.values)
 
 
+# Margins of single-precision field norms (see ``ScoreBlock.single_norms``):
+# a relative part, 200 times the worst relative error seen on the 600
+# reference images (5e-7), and the constant K of the a priori error bound,
+# of which the worst error seen there reached 0.2%.
+SINGLE_REL_MARGIN = 1e-4
+SINGLE_ERROR_K = 16.0
+
+
+def _symmetric_map(n: int, pad: int) -> np.ndarray:
+    """Source index of each position of ``np.pad(np.arange(n), pad, mode="symmetric")``;
+    a pad wider than ``n`` keeps reflecting, as np.pad does."""
+    pos = np.arange(-pad, n + pad) % (2 * n)
+    return np.where(pos < n, pos, 2 * n - 1 - pos)
+
+
+class ScoreBlock:
+    """Field norms of a block of theta=0, DC-corrected kernels sharing ``sigma_x``.
+
+    Cell [i, j] is the kernel ``make_kernel(GaborParams(sigma_x, sigma_ys[i],
+    lam=lams[j]), dc_correct=True)``.  At theta=0 it factors as ``norm *
+    outer(gy, gx) - c``: a real vertical Gaussian ``gy``, a complex
+    horizontal carrier ``gx``, and the DC-correction constant ``c = norm *
+    mean(gy) * mean(Re gx)``.  So a block needs only 1-D transforms: one row
+    FFT of the image, one inverse per lam, one column FFT per lam, one
+    inverse per (sigma_y, lam), and a box sum of the padded image for the
+    constant term.
+
+    The constructor validates every cell, raising ``SizeError`` exactly when
+    ``convolve`` would for some kernel of the block, and builds what the
+    cells share: the padding by the block's largest half-height, the
+    transform lengths, the kernel spectra and the box sums.  ``norms``
+    scores any rows x columns in float64 on that shared padding, so an
+    entry has the same bits whichever other cells are scored with it.
+    ``single_norms`` scores every cell in single precision, with a margin
+    per cell that its error cannot exceed.
+    """
+
+    def __init__(
+        self,
+        img: GrayImage,
+        sigma_x: float,
+        sigma_ys: tuple[float, ...],
+        lams: tuple[float, ...],
+    ) -> None:
+        for sy in sigma_ys:
+            for lam in lams:
+                GaborParams(sigma_x=sigma_x, sigma_y=sy, lam=lam)
+        self.height, self.width = height, width = img.data.shape
+        self.hw = hw = math.ceil(SUPPORT_SIGMAS * sigma_x)
+        self.hhs = [math.ceil(SUPPORT_SIGMAS * sy) for sy in sigma_ys]
+        self.hmax = hmax = max(self.hhs)
+        _check_extent(2 * hmax + 1, 2 * hw + 1, img)
+
+        # The image is worked on transposed, axis 0 = x and axis 1 = y, so
+        # the y transforms, the most numerous, run along the contiguous axis.
+        # Output x reads padded x .. x + 2*hw, which is also what the
+        # circular convolution at index x + 2*hw reads, so the padded length
+        # never wraps; likewise along y with hmax.
+        self.xpad = img.data.T[_symmetric_map(width, hw)]
+        self.nx = nx = next_fast_len(width + 2 * hw)
+        self.y_map = _symmetric_map(height, hmax)
+        self.ny = ny = next_fast_len(height + 2 * hmax)
+
+        # Kernel factors and their spectra in float64; the single-precision
+        # pass rounds the spectra, which its error bound covers.
+        dx = np.arange(-hw, hw + 1, dtype=np.float64)
+        self.env_x = np.exp(-(dx**2) / (2.0 * sigma_x**2))
+        lam_col = np.asarray(lams, dtype=np.float64)[:, None]
+        self.gx_hat = fft(self.env_x * np.exp(1j * lam_col * dx), nx, axis=1)
+        self.mean_re_gx = (self.env_x * np.cos(lam_col * dx)).mean(axis=1)
+        self.gy_sums, self.gy_hats, self.dc = [], [], []
+        for sy, hh in zip(sigma_ys, self.hhs):
+            dy = np.arange(-hh, hh + 1, dtype=np.float64)
+            gy = np.exp(-(dy**2) / (2.0 * sy**2))
+            norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_x * sy)
+            self.gy_sums.append(norm * gy.sum())
+            self.gy_hats.append(fft(norm * gy, ny))
+            self.dc.append(norm * gy.mean())
+
+        # Box sums of the padded image over the kernel support, for the DC
+        # term: width-(2*hw+1) sums along x, then cumulated along y.  Both
+        # cumulative sums start with a zero, so every box is one difference.
+        csum = np.zeros((width + 2 * hw + 1, height + 2 * hmax))
+        np.cumsum(self.xpad[:, self.y_map], axis=0, out=csum[1:])
+        self.y_csum = np.zeros((width, height + 2 * hmax + 1))
+        np.cumsum(csum[2 * hw + 1 :] - csum[:width], axis=1, out=self.y_csum[:, 1:])
+
+    def norms(self, rows, cols) -> np.ndarray:
+        """Float64 field norms of the cells ``sigma_ys[rows] x lams[cols]``."""
+        return self._field_norms(self.xpad, self.y_csum, rows, cols)
+
+    def single_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell's field norm in single precision, and a margin that
+        its error cannot exceed.
+
+        Both are for the image times ``2**-e``, the power of two that brings
+        its largest magnitude into [0.5, 1).  That scaling is exact, so no
+        image overflows or underflows float32 and the norms' ratios do not
+        depend on the image's scale.  The margin is the larger of
+        ``SINGLE_REL_MARGIN`` times the norm and the a priori error bound of
+        an FFT convolution, ``SINGLE_ERROR_K * 2**-24 * log2(nx * ny) *
+        ||padded image||_2 * ||kernel||_1``, with ``||kernel||_1 <= 2 *
+        norm * sum(gy) * sum(env_x)`` because the DC term obeys ``|c| *
+        (2*hh+1) * (2*hw+1) <= norm * sum(gy) * sum(env_x)``.  The relative
+        part alone would not do: float32 noise on a near-zero field, such as
+        an unflattened constant image's, differs between cells by far more
+        than 1e-4 of it.  A non-finite norm has no margin.
+        """
+        _, e = math.frexp(float(np.abs(self.xpad).max()))
+        scaled = np.ldexp(self.xpad, -e)
+        norms = self._field_norms(scaled.astype(np.float32), np.ldexp(self.y_csum, -e),
+                                  range(len(self.hhs)), range(len(self.mean_re_gx)))
+        counts = np.bincount(self.y_map, minlength=self.height)
+        pad_norm = math.sqrt(float(np.square(scaled).sum(axis=0) @ counts))
+        unit = SINGLE_ERROR_K * 2.0**-24 * math.log2(self.nx * self.ny) * pad_norm
+        bounds = unit * 2.0 * np.array(self.gy_sums) * self.env_x.sum()
+        return norms, np.maximum(SINGLE_REL_MARGIN * norms, bounds[:, None])
+
+    def _field_norms(self, xpad: np.ndarray, y_csum: np.ndarray, rows, cols) -> np.ndarray:
+        """Norms of ``rows x cols`` for the x-padded image ``xpad`` and its box
+        sums ``y_csum``; the transforms keep ``xpad``'s precision."""
+        real = xpad.dtype
+        cplx = np.result_type(real, np.complex64)
+        cols = np.asarray(cols, dtype=np.intp)
+        hw, hmax, width, height = self.hw, self.hmax, self.width, self.height
+        # x step: filter the x-padded columns with every carrier at once.
+        gx_hat = self.gx_hat[cols].astype(cplx, copy=False)
+        xfield = ifft(fft(xpad, self.nx, axis=0)[None] * gx_hat[:, :, None], axis=1)
+        # y step: the symmetric padding by a smaller half-height is a crop of
+        # the padding by hmax, so one transform per lam serves every sigma_y.
+        # Output y reads padded y + top .. y + top + 2*hh, with top = hmax - hh.
+        y_spectra = fft(xfield[:, 2 * hw : 2 * hw + width, self.y_map], self.ny, axis=2)
+        out = np.empty((len(rows), len(cols)), dtype=real)
+        for k, i in enumerate(rows):
+            hh = self.hhs[i]
+            top = hmax - hh
+            stop = top + 2 * hh + 1
+            box = (y_csum[:, stop : stop + height] - y_csum[:, top : top + height]).astype(real, copy=False)
+            gy_hat = self.gy_hats[i].astype(cplx, copy=False)
+            field = ifft(y_spectra * gy_hat, axis=2, overwrite_x=True)[:, :, stop - 1 : stop - 1 + height]
+            field -= (self.dc[i] * self.mean_re_gx[cols]).astype(real, copy=False)[:, None, None] * box
+            out[k] = np.sqrt((field.real**2 + field.imag**2).sum(axis=(1, 2)))
+        return out
+
+
 def block_scores(
     img: GrayImage,
     sigma_x: float,
@@ -113,64 +258,9 @@ def block_scores(
     """Field norms of a block of theta=0, DC-corrected kernels sharing ``sigma_x``.
 
     Entry [i, j] is the l2 norm of ``convolve(img, make_kernel(GaborParams(
-    sigma_x, sigma_ys[i], lam=lams[j]), dc_correct=True))`` up to rounding.
-    At theta=0 the kernel factors as ``norm * outer(gy, gx) - c``: a real
-    vertical Gaussian ``gy``, a complex horizontal carrier ``gx``, and the
-    DC-correction constant ``c = norm * mean(gy) * mean(Re gx)``.  So the
-    whole block needs only 1-D transforms: one row FFT of the image, one
-    inverse per lam, one column FFT per lam, one inverse per (sigma_y, lam),
-    and a box sum of the padded image for the constant term.  Raises
-    ``SizeError`` exactly when ``convolve`` would for some kernel of the
-    block.
+    sigma_x, sigma_ys[i], lam=lams[j]), dc_correct=True))`` up to rounding;
+    ``ScoreBlock`` describes the method.  Raises ``SizeError`` exactly when
+    ``convolve`` would for some kernel of the block.
     """
-    # Validate every cell as its own kernel would be, so bad grids fail alike.
-    for sy in sigma_ys:
-        for lam in lams:
-            GaborParams(sigma_x=sigma_x, sigma_y=sy, lam=lam)
-    height, width = img.data.shape
-    hw = math.ceil(SUPPORT_SIGMAS * sigma_x)
-    hhs = [math.ceil(SUPPORT_SIGMAS * sy) for sy in sigma_ys]
-    hmax = max(hhs)
-    _check_extent(2 * hmax + 1, 2 * hw + 1, img)
-
-    # The image is worked on transposed, axis 0 = x and axis 1 = y, so the
-    # y transforms, the most numerous, run along the contiguous axis.
-    # x step: filter the x-padded columns with every carrier at once.
-    # Output x reads padded x .. x + 2*hw, which is also what the circular
-    # convolution at index x + 2*hw reads, so the padded length never wraps.
-    dx = np.arange(-hw, hw + 1, dtype=np.float64)
-    env_x = np.exp(-(dx**2) / (2.0 * sigma_x**2))
-    lam_col = np.asarray(lams, dtype=np.float64)[:, None]
-    gx = env_x * np.exp(1j * lam_col * dx)
-    mean_re_gx = (env_x * np.cos(lam_col * dx)).mean(axis=1)
-    xpad = np.pad(img.data.T, ((hw, hw), (0, 0)), mode="symmetric")
-    nx = next_fast_len(xpad.shape[0])
-    spectra = fft(xpad, nx, axis=0)[None] * fft(gx, nx, axis=1)[:, :, None]
-    xfield = ifft(spectra, axis=1)[:, 2 * hw : 2 * hw + width]
-
-    # y step: the symmetric padding by a smaller half-height is a crop of
-    # the padding by hmax, so one transform per lam serves every sigma_y.
-    # Output y reads padded y + top .. y + top + 2*hh, with top = hmax - hh,
-    # which again never wraps.
-    y_map = np.pad(np.arange(height), hmax, mode="symmetric")
-    ny = next_fast_len(height + 2 * hmax)
-    y_spectra = fft(xfield[:, :, y_map], ny, axis=2)
-
-    # Box sums of the padded image over the kernel support, for the DC term:
-    # width-(2*hw+1) sums along x, then cumulated along y.
-    csum = np.cumsum(xpad[:, y_map], axis=0)
-    x_sums = csum[2 * hw :] - np.pad(csum[: width - 1], ((1, 0), (0, 0)))
-    y_csum = np.pad(np.cumsum(x_sums, axis=1), ((0, 0), (1, 0)))
-
-    scores = np.empty((len(sigma_ys), len(lams)))
-    for i, (sy, hh) in enumerate(zip(sigma_ys, hhs)):
-        dy = np.arange(-hh, hh + 1, dtype=np.float64)
-        gy = np.exp(-(dy**2) / (2.0 * sy**2))
-        norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_x * sy)
-        top = hmax - hh
-        box = y_csum[:, top + 2 * hh + 1 : top + 2 * hh + 1 + height] - y_csum[:, top : top + height]
-        field = ifft(y_spectra * fft(norm * gy, ny), axis=2, overwrite_x=True)
-        field = field[:, :, top + 2 * hh : top + 2 * hh + height]
-        field -= (norm * gy.mean() * mean_re_gx)[:, None, None] * box
-        scores[i] = np.sqrt((field.real**2 + field.imag**2).sum(axis=(1, 2)))
-    return scores
+    block = ScoreBlock(img, sigma_x, sigma_ys, lams)
+    return block.norms(range(len(sigma_ys)), range(len(lams)))

@@ -12,7 +12,8 @@ from dataclasses import fields
 import numpy as np
 
 from gaborboost.dataio import FeatureRow, GrayImage
-from gaborboost.gabor import ComplexKernel, GaborParams, convolve, make_kernel
+from gaborboost.features import GridResult
+from gaborboost.gabor import ComplexKernel, GaborParams, block_scores, convolve, make_kernel
 
 
 def value_at(kernel: ComplexKernel, dx: int, dy: int) -> complex:
@@ -41,6 +42,29 @@ def response_norm(img: GrayImage, p: GaborParams, dc_correct: bool = True) -> fl
     """l2 norm of the complex response magnitude over the whole field."""
     kernel = make_kernel(p, dc_correct=dc_correct)
     return float(np.linalg.norm(convolve(img, kernel)))
+
+
+def scan_float64(
+    img: GrayImage,
+    sigma_xs: tuple[float, ...],
+    sigma_ys: tuple[float, ...],
+    lams: tuple[float, ...],
+) -> GridResult:
+    """Best cell of the product of three axes, every cell scored in float64:
+    the reference for ``features._scan``, which scores in single precision
+    first.  Scores and ties are as ``_scan`` documents them."""
+    best_score = -math.inf
+    best = (sigma_xs[0], sigma_ys[0], lams[0])
+    for sx in sigma_xs:
+        norms = block_scores(img, sx, sigma_ys, lams)
+        for i, sy in enumerate(sigma_ys):
+            for j, lam in enumerate(lams):
+                score = float(norms[i, j]) * (sx * sy) ** 0.25
+                if score > best_score:
+                    best_score = score
+                    best = (sx, sy, lam)
+    evals = len(sigma_xs) * len(sigma_ys) * len(lams)
+    return GridResult(*best, score=best_score, evaluations=evals)
 
 
 def rows_close(a: FeatureRow, b: FeatureRow, tol: float = 1e-12) -> bool:

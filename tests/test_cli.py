@@ -391,3 +391,24 @@ def test_undecodable_text_reports_one_error(small_table, tmp_path, capsys, kind)
     capsys.readouterr()
     assert main(argv) == 1
     assert one_error_line(capsys, name, "not a text file")
+
+
+@pytest.mark.parametrize("kind", ["feature-table", "manifest"])
+def test_oversized_csv_field_reports_one_error(small_table, tmp_path, capsys, kind):
+    """A field over the csv module's 131072-character limit is one error line
+    naming the file and the line, not a traceback."""
+    huge = "x" * 200_000
+    if kind == "feature-table":
+        path = tmp_path / "huge.csv"
+        path.write_text(huge + "," + small_table.read_text())
+        argv = ["cv", "--table", str(path), *FAST_TRAIN]
+    else:
+        data = tmp_path / "data"
+        data.mkdir()
+        path = data / "labels.csv"
+        path.write_text(f"filename,label\nimg.pgm,{huge}\n")
+        argv = ["tabularize", "--data", str(data), "--out", str(tmp_path / "t.csv")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert one_error_line(capsys, path.name, "line 1" if kind == "feature-table" else "line 2",
+                          "field larger than field limit")

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gaborboost import gabor
 from gaborboost.dataio import GrayImage, LabeledDataset, flip_horizontal
 from gaborboost.errors import ConfigError, SizeError
 from gaborboost.features import (
@@ -24,7 +26,7 @@ from gaborboost.features import (
 )
 from gaborboost.gabor import GaborParams
 from gaborboost.synthgen import SynthSpec, generate
-from oracles import response_norm
+from oracles import response_norm, scan_float64
 
 
 def gabor_packet(width, height, xc, yc, sigma_x, sigma_y, lam, amp=1.0):
@@ -193,6 +195,77 @@ def test_optimizers_raise_size_error_like_convolve():
         assert fits.evaluations == 4
 
 
+SEARCH_KINDS = ("random", "near_mirror", "offset", "constant", "scaled")
+
+
+@st.composite
+def search_images(draw):
+    """An image kind and a 64x32 image of it.  Random, near_mirror and
+    scaled images are flattened first, as ``extract_features`` does.
+
+    near_mirror: a random half mirrored onto the other, plus noise 1e-6;
+    offset: an unflattened image on a constant level of 1e3 to 2e4, with
+    noise of 0, 1e-9 or 0.01; constant: one level, flattened to zero or
+    not; scaled: a random image times 1e-30 or 1e30.
+    """
+    kind = draw(st.sampled_from(SEARCH_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.random((32, 64))
+    flatten = True
+    if kind == "near_mirror":
+        data = np.concatenate([data[:, :32], data[:, 31::-1]], axis=1)
+        data += 1e-6 * rng.standard_normal(data.shape)
+    elif kind == "offset":
+        noise = draw(st.sampled_from((0.0, 1e-9, 0.01)))
+        data = draw(st.floats(1e3, 2e4)) + noise * rng.standard_normal(data.shape)
+        flatten = False
+    elif kind == "constant":
+        data = np.full(data.shape, draw(st.floats(-1e3, 1e3)))
+        flatten = draw(st.booleans())
+    elif kind == "scaled":
+        data *= draw(st.sampled_from((1e-30, 1e30)))
+    img = GrayImage(data)
+    return kind, flatten_background(img) if flatten else img
+
+
+def _same_result(result, expected):
+    assert (result.sigma_x, result.sigma_y, result.lam) == (
+        expected.sigma_x, expected.sigma_y, expected.lam)
+    assert result.evaluations == expected.evaluations
+    assert np.float64(result.score).tobytes() == np.float64(expected.score).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=search_images())
+@example(case=("constant", GrayImage(np.zeros((32, 64)))))
+@example(case=("offset", GrayImage(np.full((32, 64), 5000.0))))
+def test_search_matches_float64_scan(case):
+    """Both searches pick the float64 scan's cell with the same score bits.
+    Only cells that single precision cannot rule out are scored in float64;
+    on a constant image that is every cell."""
+    kind, img = case
+    grid = default_grid(64, 32)
+    rescored = []
+    norms = gabor.ScoreBlock.norms
+
+    def counted(block, rows, cols):
+        rescored.append(len(rows) * len(cols))
+        return norms(block, rows, cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gabor.ScoreBlock, "norms", counted)
+        full = grid_optimize(img, grid)
+        full_rescored = sum(rescored)
+        two = two_step_optimize(img, grid)
+    first = scan_float64(img, grid.sigma_x[-1:], grid.sigma_y, grid.lam)
+    second = scan_float64(img, grid.sigma_x, (first.sigma_y,), (first.lam,))
+    _same_result(full, scan_float64(img, grid.sigma_x, grid.sigma_y, grid.lam))
+    _same_result(two, replace(second, evaluations=first.evaluations + second.evaluations))
+    if kind == "constant":
+        assert full_rescored == grid.size
+    assert 1 <= full_rescored <= grid.size
+
+
 # ---------------------------------------------------------------------------
 # integral images and quadrants
 
@@ -350,6 +423,31 @@ def test_extract_features_flip_swaps_quadrants():
     assert flipped.q_tr == pytest.approx(row.q_tl, rel=1e-6)
     assert flipped.q_bl == pytest.approx(row.q_br, rel=1e-6)
     assert flipped.q_br == pytest.approx(row.q_bl, rel=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), label=st.integers(0, 2), power=st.integers(-4, 10))
+def test_extract_features_scales_by_powers_of_two(seed, label, power):
+    """A reference-like image times k = 2**power keeps its cell, centre and
+    clamp flag, and every quadrant norm scales by exactly k: scaling by a
+    power of two commutes with every rounding step.  The ratio features are
+    not scale-invariant, because RATIO_EPS is absolute: a ratio
+    q_a / (q_b + eps) moves by up to eps / (k * q_b) relative, under 1e-7 for
+    these images (every q exceeds 0.5, k is at least 1/16)."""
+    counts = [0, 0, 0]
+    counts[label] = 1
+    dataset, _ = generate(SynthSpec(128, 64, *counts, noise_sigma=0.02, seed=seed))
+    img = dataset.images[0]
+    k = 2.0**power
+    base = extract_features(img, "x", "")
+    scaled = extract_features(GrayImage(k * img.data), "x", "")
+    for name in ("sigma_x", "sigma_y", "lam", "x_star", "y_star", "roi_clamped"):
+        assert getattr(scaled, name) == getattr(base, name), name
+    for name in ("q_tl", "q_tr", "q_bl", "q_br"):
+        assert getattr(base, name) > 0.5
+        assert getattr(scaled, name) == k * getattr(base, name), name
+    for name in ("egf_tl_bl", "egf_tr_br", "egf_tl_tr", "egf_bl_br"):
+        assert getattr(scaled, name) == pytest.approx(getattr(base, name), rel=1e-7, abs=0.0)
 
 
 def test_tabularize_empty_dataset():

@@ -8,6 +8,7 @@ from gaborboost.errors import ConfigError, SizeError
 from gaborboost.features import default_grid, flatten_background
 from gaborboost.gabor import (
     GaborParams,
+    ScoreBlock,
     _pad_reflect,
     block_scores,
     convolve,
@@ -221,3 +222,39 @@ def test_block_scores_rejects_invalid_cells():
         block_scores(img, 1.0, (1.0, -2.0), (0.5,))
     with pytest.raises(ConfigError):
         block_scores(img, 1.0, (1.0,), (0.5, float("nan")))
+
+
+def test_score_block_subsets_match_full_block_bitwise():
+    """Rescoring some rows and columns gives the full block's entries bit for
+    bit, because every cell is padded by the whole block's half-height."""
+    rng = np.random.default_rng(31)
+    for width, height in ((96, 48), (128, 64), (40, 12)):
+        img = flatten_background(GrayImage(rng.random((height, width))))
+        sigma_ys, lams = (1.0, 2.0, 4.0), (0.0, 0.4, 0.8, 1.6)
+        for sx in (1.5, 3.0):
+            block = ScoreBlock(img, sx, sigma_ys, lams)
+            full = block_scores(img, sx, sigma_ys, lams)
+            for _ in range(5):
+                rows = np.sort(rng.choice(3, int(rng.integers(1, 4)), replace=False))
+                cols = np.sort(rng.choice(4, int(rng.integers(1, 5)), replace=False))
+                assert np.array_equal(block.norms(rows, cols), full[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
+def test_single_norms_lie_within_their_margin(scale):
+    """The single-precision norms are those of the image scaled by a power of
+    two into [0.5, 1), and each lies within its margin of the float64 norm.
+    On the unflattened offset image the field is nearly zero, so the
+    absolute error bound, not the relative part, sets the margin."""
+    rng = np.random.default_rng(37)
+    grid = default_grid(128, 64)
+    flat = flatten_background(GrayImage(rng.random((64, 128))))
+    for img in (flat, GrayImage(1e4 + 0.01 * rng.standard_normal((64, 128)))):
+        img = GrayImage(scale * img.data)
+        _, exp = math.frexp(np.abs(img.data).max())
+        for sx in (grid.sigma_x[0], grid.sigma_x[-1]):
+            block = ScoreBlock(img, sx, grid.sigma_y, grid.lam)
+            norms, margins = block.single_norms()
+            assert norms.dtype == np.float32
+            exact = np.ldexp(block_scores(img, sx, grid.sigma_y, grid.lam), -exp)
+            assert np.all(np.abs(norms - exact) <= margins)

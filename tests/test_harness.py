@@ -317,3 +317,24 @@ def test_benchmark_library_calls_still_work():
     lines = run.stdout.splitlines()
     assert json.loads(lines[-1])["correct"] is True
     assert not [line for line in lines if line.startswith(("absent:", "unwrapped"))]
+
+
+def test_artifacts_identical_at_one_and_two_threads(tmp_path, monkeypatch):
+    """The feature table, the CV report and the model are the same bytes
+    whether the pools (rendering, feature extraction) run one thread or two."""
+    config = TrainConfig(max_rounds=200, patience=10, max_pairs=3, seed=0)
+    artifacts = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GABORBOOST_THREADS", threads)
+        out = tmp_path / threads
+        spec = synthgen.SynthSpec(96, 48, 24, 10, 6, noise_sigma=0.02, seed=3)
+        dataset, truths = synthgen.generate(spec)
+        synthgen.write_dataset(dataset, truths, out / "data")
+        rows = features.tabularize(dataio.load_dataset(out / "data"))
+        dataio.write_feature_table(rows, out / "features.csv")
+        rows = dataio.read_feature_table(out / "features.csv")
+        write_report(run_cv(rows, "GF+EGF", repeats=1, k=3, seed=0, config=config), out / "report.json")
+        ebm.save_model(train_final(rows, "GF+EGF", config)[0], out / "model.json")
+        artifacts[threads] = [(out / name).read_bytes()
+                              for name in ("features.csv", "report.json", "model.json")]
+    assert artifacts["1"] == artifacts["2"]
