@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands cover the whole pipeline: generate, tabularize, fit-physics,
-train, explain, evaluate, cv. Any deliberate failure prints a single
+Subcommands cover the whole pipeline: generate, tabularize, train,
+explain, evaluate, cv. Any deliberate failure prints a single
 ``error: ...`` line to stderr and exits 1; argparse keeps its usual
 exit code 2 for unknown flags.
 """
@@ -66,12 +66,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="mirror images of a class horizontally (repeatable)")
     by_name["tabularize"] = sp
 
-    sp = subs.add_parser("fit-physics", help="add profile-fit columns to a table")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--table", required=True)
-    sp.add_argument("--out", required=True)
-    by_name["fit-physics"] = sp
-
     sp = subs.add_parser("train", help="train a one-vs-rest model on a table")
     sp.add_argument("--table", required=True)
     sp.add_argument("--features", choices=sorted(harness.FEATURE_SETS), default="GF+EGF")
@@ -105,6 +99,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, by_name
 
 
+_CONFIG_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                 **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def _apply_config_defaults(
     argv: list[str],
     parser: argparse.ArgumentParser,
@@ -112,10 +110,9 @@ def _apply_config_defaults(
 ) -> None:
     """Load --config key=value pairs as subcommand defaults.
 
-    Runs before the real parse so explicit flags still win.
+    Runs before the real parse so explicit flags still win; a repeatable
+    flag (``--merge``, ``--flip``) adds to the config's list instead.
     """
-    if "--config" not in argv:
-        return
     probe, _ = parser.parse_known_args(argv)
     if not getattr(probe, "config", None):
         return
@@ -129,7 +126,10 @@ def _apply_config_defaults(
             raise ConfigError(f"{probe.config}: unknown config key {key!r}")
         action = actions[dest]
         if isinstance(action, argparse._StoreTrueAction):
-            defaults[dest] = raw.strip().lower() in ("1", "true", "yes", "on")
+            word = raw.strip().lower()
+            if word not in _CONFIG_BOOLS:
+                raise ConfigError(f"{probe.config}: {key!r} must be true or false, got {raw!r}")
+            defaults[dest] = _CONFIG_BOOLS[word]
         elif isinstance(action, argparse._AppendAction):
             defaults[dest] = [v for v in raw.split() if v]
         elif action.type is not None:
@@ -178,18 +178,6 @@ def _cmd_tabularize(args: argparse.Namespace) -> None:
         note = f" ({failed} fits failed)"
     dataio.write_feature_table(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}{note}")
-
-
-def _cmd_fit_physics(args: argparse.Namespace) -> None:
-    rows = dataio.read_feature_table(args.table)
-    ds = dataio.load_dataset(args.data)
-    by_name = dict(zip(ds.names, ds.images))
-    for row in rows:
-        if row.id not in by_name:
-            raise ConfigError(f"{args.table}: image {row.id!r} not found in {args.data}")
-    rows, failed = fit_rows(rows, [by_name[row.id] for row in rows])
-    dataio.write_feature_table(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out} ({failed} fits failed)")
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
@@ -244,7 +232,6 @@ def _cmd_cv(args: argparse.Namespace) -> None:
 _HANDLERS = {
     "generate": _cmd_generate,
     "tabularize": _cmd_tabularize,
-    "fit-physics": _cmd_fit_physics,
     "train": _cmd_train,
     "explain": _cmd_explain,
     "evaluate": _cmd_evaluate,
@@ -259,10 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_defaults(argv, parser, by_name)
         args = parser.parse_args(argv)
         _HANDLERS[args.command](args)
-    except GaborboostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GaborboostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -108,7 +108,8 @@ def matrix_from_names(
     uses_pf = any(n in PF_COLUMNS for n in names)
     if uses_pf and rows and not rows[0].has_pf:
         raise ConfigError(
-            f"columns {sorted(set(names) & set(PF_COLUMNS))} need PF data; run fit-physics"
+            f"columns {sorted(set(names) & set(PF_COLUMNS))} need PF data; "
+            "run tabularize --with-physics"
         )
     kept = [r for r in rows if not (uses_pf and r.pf_failed)] if uses_pf else list(rows)
     dropped = len(rows) - len(kept)

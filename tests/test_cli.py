@@ -12,8 +12,10 @@ import pytest
 
 import gaborboost
 from gaborboost import ebm
-from gaborboost.cli import _train_config, build_parser, main
-from gaborboost.dataio import FeatureRow, read_feature_table, write_feature_table
+from gaborboost.cli import _apply_config_defaults, _train_config, build_parser, main
+from gaborboost.dataio import FeatureRow, load_dataset, read_feature_table, write_feature_table
+from gaborboost.features import tabularize
+from gaborboost.physfit import fit_image, fit_rows
 
 FAST_TRAIN = ["--max-rounds", "200", "--patience", "10", "--max-pairs", "0"]
 
@@ -89,6 +91,54 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     rc = main(["generate", "--out", str(out2), "--config", str(cfg), "--vortex", "3"])
     assert rc == 0
     assert len(list(out2.glob("vortex_*.pgm"))) == 3
+
+
+@pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])
+def test_config_flag_spellings_are_read(tmp_path, spelling):
+    """argparse accepts --config=PATH and abbreviations; both must load the file."""
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("width = 32\nheight = 16\nlongitudinal = 2\npartial = 2\nvortex = 1\n")
+    out = tmp_path / "data"
+    assert main(["generate", "--out", str(out), *(a.format(cfg) for a in spelling)]) == 0
+    assert len(list(out.glob("*.pgm"))) == 5
+
+
+@pytest.mark.parametrize("word, value", [("TRUE", True), ("on", True), ("Off", False),
+                                         ("0", False)])
+def test_config_booleans(tmp_path, word, value):
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(f"balance = {word}\n")
+    argv = ["cv", "--table", "t.csv", "--config", str(cfg)]
+    parser, by_name = build_parser()
+    _apply_config_defaults(argv, parser, by_name)
+    assert parser.parse_args(argv).balance is value
+
+
+def test_config_mistyped_boolean_reports_error(tmp_path, capsys):
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text("balance = ture\n")
+    rc = main(["cv", "--table", str(tmp_path / "t.csv"), "--config", str(cfg)])
+    assert rc == 1
+    assert one_error_line(capsys, "cv.cfg", "'balance'", "'ture'")
+
+
+def test_repeatable_flags_add_to_config_list(tmp_path):
+    """--flip and --merge on the command line extend the config's list."""
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text("flip = vortex\nmerge = partial=vortex\n")
+    argv = ["tabularize", "--data", "d", "--out", "o.csv", "--config", str(cfg),
+            "--flip", "partial", "--merge", "vortex=longitudinal"]
+    parser, by_name = build_parser()
+    _apply_config_defaults(argv, parser, by_name)
+    args = parser.parse_args(argv)
+    assert args.flip == ["vortex", "partial"]
+    assert args.merge == ["partial=vortex", "vortex=longitudinal"]
+
+
+def test_fit_physics_is_unknown_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit-physics", "--data", "d", "--table", "t.csv", "--out", "o.csv"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [["cv", "--table", "t.csv"],
@@ -224,41 +274,33 @@ def small_images(tmp_path):
     return data
 
 
-def test_with_physics_matches_fit_physics(small_images, tmp_path, capsys):
-    both, plain, fitted = (tmp_path / n for n in ("both.csv", "plain.csv", "fitted.csv"))
-    data = str(small_images)
+def test_with_physics_matches_fit_rows(small_images, tmp_path, capsys):
+    """--with-physics writes the Gabor table with fit_rows' columns filled in."""
+    both, expected = tmp_path / "both.csv", tmp_path / "expected.csv"
     capsys.readouterr()
-    assert main(["tabularize", "--data", data, "--out", str(both), "--with-physics"]) == 0
-    assert main(["tabularize", "--data", data, "--out", str(plain)]) == 0
-    assert main(["fit-physics", "--data", data, "--table", str(plain), "--out", str(fitted)]) == 0
-    with_physics, _, fit_physics = capsys.readouterr().out.splitlines()
-    assert both.read_bytes() == fitted.read_bytes()
-    assert with_physics.endswith(" (0 fits failed)") and fit_physics.endswith(" (0 fits failed)")
+    assert main(["tabularize", "--data", str(small_images), "--out", str(both),
+                 "--with-physics"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" (0 fits failed)")
+    ds = load_dataset(small_images)
+    rows, failed = fit_rows(tabularize(ds), ds.images)
+    write_feature_table(rows, expected)
+    assert failed == 0
+    assert both.read_bytes() == expected.read_bytes()
 
 
 def test_with_physics_fits_flipped_images(small_images, tmp_path):
-    """--with-physics fits the mirrored image the Gabor pass saw;
-    fit-physics fits the image as stored."""
-    flipped, stored = tmp_path / "flipped.csv", tmp_path / "stored.csv"
+    """--with-physics fits the mirrored image the Gabor pass saw, not the
+    image as stored."""
+    flipped = tmp_path / "flipped.csv"
     assert main(["tabularize", "--data", str(small_images), "--out", str(flipped),
                  "--flip", "vortex", "--with-physics"]) == 0
-    assert main(["fit-physics", "--data", str(small_images), "--table", str(flipped),
-                 "--out", str(stored)]) == 0
-    mirrored = {row.id: row for row in read_feature_table(flipped)}
-    for row in read_feature_table(stored):
+    ds = load_dataset(small_images)
+    stored = {name: fit_image(img).center for name, img in zip(ds.names, ds.images)}
+    for row in read_feature_table(flipped):
         if row.label == "vortex":
-            assert mirrored[row.id].pf_center == pytest.approx(95 - row.pf_center, abs=1e-3)
+            assert row.pf_center == pytest.approx(95 - stored[row.id], abs=1e-3)
         else:
-            assert mirrored[row.id].pf_center == row.pf_center
-
-
-def test_fit_physics_unknown_image_reports_error(small_images, small_table, tmp_path, capsys):
-    out = tmp_path / "pf.csv"
-    rc = main(["fit-physics", "--data", str(small_images), "--table", str(small_table),
-               "--out", str(out)])
-    assert rc == 1
-    assert one_error_line(capsys, "'longitudinal_0' not found")
-    assert not out.exists()
+            assert row.pf_center == stored[row.id]
 
 
 def test_duplicate_manifest_entry_reports_error(small_images, tmp_path, capsys):

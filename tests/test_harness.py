@@ -177,7 +177,7 @@ def test_build_matrix_unknown_feature_set():
 
 
 def test_build_matrix_pf_requires_fit_data():
-    with pytest.raises(ConfigError, match="fit-physics"):
+    with pytest.raises(ConfigError, match="tabularize --with-physics"):
         build_matrix(separable_rows(2), "GF+PF")
 
 
