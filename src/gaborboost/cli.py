@@ -3,7 +3,12 @@
 Subcommands cover the whole pipeline: generate, tabularize, train,
 explain, evaluate, cv. Any deliberate failure prints a single
 ``error: ...`` line to stderr and exits 1; argparse keeps its usual
-exit code 2 for unknown flags.
+exit code 2 for unknown flags and bad values.
+
+``--config FILE`` reads ``key = value`` lines whose keys are the long
+flags, required ones included. Each value is parsed as its flag would
+be, so a bad one is argparse's usage error; unknown keys, mistyped
+booleans and empty values are errors naming the file.
 """
 
 from __future__ import annotations
@@ -103,47 +108,38 @@ _CONFIG_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                  **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _apply_config_defaults(
-    argv: list[str],
-    parser: argparse.ArgumentParser,
-    by_name: dict[str, argparse.ArgumentParser],
-) -> None:
-    """Load --config key=value pairs as subcommand defaults.
+def _config_argv(argv: list[str], by_name: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """argv with the --config file's ``key = value`` pairs spliced in as flags.
 
-    Runs before the real parse so explicit flags still win; a repeatable
-    flag (``--merge``, ``--flip``) adds to the config's list instead.
+    The flags go right after the subcommand name, so explicit flags, which
+    come later, still win; a repeatable flag (``--merge``, ``--flip``) adds
+    to the config's list instead. Each value is then parsed as its flag.
     """
-    probe, _ = parser.parse_known_args(argv)
-    if not getattr(probe, "config", None):
-        return
-    values = parse_config_file(probe.config)
-    sp = by_name[probe.command]
-    actions = {a.dest: a for a in sp._actions}
-    defaults = {}
-    for key, raw in values.items():
+    if not argv or argv[0] not in by_name:  # the top-level parser has no options but --help
+        return argv
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if not path:
+        return argv
+    actions = {a.dest: a for a in by_name[argv[0]]._actions}
+    flags = []
+    for key, raw in parse_config_file(path).items():
         dest = key.replace("-", "_")
         if dest not in actions or dest in ("help", "config"):
-            raise ConfigError(f"{probe.config}: unknown config key {key!r}")
+            raise ConfigError(f"{path}: unknown config key {key!r}")
         action = actions[dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            word = raw.strip().lower()
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            word = raw.lower()
             if word not in _CONFIG_BOOLS:
-                raise ConfigError(f"{probe.config}: {key!r} must be true or false, got {raw!r}")
-            defaults[dest] = _CONFIG_BOOLS[word]
-        elif isinstance(action, argparse._AppendAction):
-            defaults[dest] = [v for v in raw.split() if v]
-        elif action.type is not None:
-            try:
-                defaults[dest] = action.type(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{probe.config}: bad value for {key!r}: {raw!r}") from exc
+                raise ConfigError(f"{path}: {key!r} must be true or false, got {raw!r}")
+            flags += [flag] if _CONFIG_BOOLS[word] else []
+        elif isinstance(action.default, list):
+            flags += [f"{flag}={v}" for v in raw.split()]
         else:
-            defaults[dest] = raw
-        if action.choices and defaults[dest] not in action.choices:
-            raise ConfigError(
-                f"{probe.config}: {key!r} must be one of {sorted(action.choices)}"
-            )
-    sp.set_defaults(**defaults)
+            flags.append(f"{flag}={raw}")
+    return argv[:1] + flags + argv[1:]
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
@@ -243,8 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, by_name = build_parser()
     try:
-        _apply_config_defaults(argv, parser, by_name)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_config_argv(argv, by_name))
         _HANDLERS[args.command](args)
     except (GaborboostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

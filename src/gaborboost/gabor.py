@@ -68,8 +68,11 @@ def make_kernel(p: GaborParams, dc_correct: bool = False) -> ComplexKernel:
     return ComplexKernel(values, hw, hh)
 
 
-def _pad_reflect(data: np.ndarray, hh: int, hw: int) -> np.ndarray:
-    return np.pad(data, ((hh, hh), (hw, hw)), mode="symmetric")
+def _symmetric_map(n: int, pad: int) -> np.ndarray:
+    """Source index of each position of ``np.pad(np.arange(n), pad, mode="symmetric")``;
+    a pad wider than ``n`` keeps reflecting, as np.pad does."""
+    pos = np.arange(-pad, n + pad) % (2 * n)
+    return np.where(pos < n, pos, 2 * n - 1 - pos)
 
 
 def _check_extent(kh: int, kw: int, img: GrayImage) -> None:
@@ -97,10 +100,11 @@ def _convolve_fft_valid(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def convolve(img: GrayImage, kernel: ComplexKernel) -> np.ndarray:
     """Same-size FFT convolution of ``img`` with ``kernel``; borders use
-    reflect padding."""
+    symmetric padding, as in ``ScoreBlock``."""
     kh, kw = kernel.values.shape
     _check_extent(kh, kw, img)
-    padded = _pad_reflect(img.data, kernel.half_height, kernel.half_width)
+    rows = _symmetric_map(img.height, kernel.half_height)
+    padded = img.data[rows][:, _symmetric_map(img.width, kernel.half_width)]
     return _convolve_fft_valid(padded.astype(np.complex128), kernel.values)
 
 
@@ -110,13 +114,6 @@ def convolve(img: GrayImage, kernel: ComplexKernel) -> np.ndarray:
 # of which the worst error seen there reached 0.2%.
 SINGLE_REL_MARGIN = 1e-4
 SINGLE_ERROR_K = 16.0
-
-
-def _symmetric_map(n: int, pad: int) -> np.ndarray:
-    """Source index of each position of ``np.pad(np.arange(n), pad, mode="symmetric")``;
-    a pad wider than ``n`` keeps reflecting, as np.pad does."""
-    pos = np.arange(-pad, n + pad) % (2 * n)
-    return np.where(pos < n, pos, 2 * n - 1 - pos)
 
 
 class ScoreBlock:

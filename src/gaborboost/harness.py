@@ -124,13 +124,16 @@ def build_matrix(
     rows: list[FeatureRow], feature_set: str
 ) -> tuple[np.ndarray, tuple[str, ...], list[str], int]:
     """Feature matrix, feature names, labels, and dropped-row count for a
-    named feature set."""
+    named feature set; raises ConfigError when no row is left."""
     if feature_set not in FEATURE_SETS:
         raise ConfigError(
             f"unknown feature set {feature_set!r}; choose from {sorted(FEATURE_SETS)}"
         )
     names = FEATURE_SETS[feature_set]
     matrix, labels, dropped = matrix_from_names(rows, names)
+    if not labels:
+        raise ConfigError(f"no rows left for feature set {feature_set!r}: {dropped} of "
+                          f"{len(rows)} dropped for failed physics fits")
     return matrix, names, labels, dropped
 
 
@@ -186,8 +189,6 @@ def run_cv(
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
     matrix, names, labels, dropped = build_matrix(rows, feature_set)
-    if len(labels) == 0:
-        raise ConfigError("no rows left to cross-validate")
     classes = tuple(sorted(set(labels)))
     labels_arr = np.asarray(labels)
 

@@ -76,5 +76,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}: line {lineno}: empty key")
-        result[key] = value.strip()
+        value = value.strip()
+        if not value:
+            raise ConfigError(f"{path}: line {lineno}: empty value for {key!r}")
+        result[key] = value
     return result

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import gaborboost
-from gaborboost import ebm
-from gaborboost.cli import _apply_config_defaults, _train_config, build_parser, main
+from gaborboost import cli, ebm
+from gaborboost.cli import _config_argv, _train_config, build_parser, main
 from gaborboost.dataio import FeatureRow, load_dataset, read_feature_table, write_feature_table
 from gaborboost.features import tabularize
 from gaborboost.physfit import fit_image, fit_rows
@@ -77,12 +77,12 @@ def test_evaluate_rejects_binary_model(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "gen.cfg"
+    out = tmp_path / "data"
     cfg.write_text(
-        "width = 32\nheight = 16\nlongitudinal = 2\npartial = 2\nvortex = 2\n"
+        f"out = {out}\nwidth = 32\nheight = 16\nlongitudinal = 2\npartial = 2\nvortex = 2\n"
         "noise = 0.0\nseed = 3\n"
     )
-    out = tmp_path / "data"
-    rc = main(["generate", "--out", str(out), "--config", str(cfg)])
+    rc = main(["generate", "--config", str(cfg)])
     assert rc == 0
     assert len(list(out.glob("*.pgm"))) == 6
 
@@ -110,8 +110,7 @@ def test_config_booleans(tmp_path, word, value):
     cfg.write_text(f"balance = {word}\n")
     argv = ["cv", "--table", "t.csv", "--config", str(cfg)]
     parser, by_name = build_parser()
-    _apply_config_defaults(argv, parser, by_name)
-    assert parser.parse_args(argv).balance is value
+    assert parser.parse_args(_config_argv(argv, by_name)).balance is value
 
 
 def test_config_mistyped_boolean_reports_error(tmp_path, capsys):
@@ -129,10 +128,54 @@ def test_repeatable_flags_add_to_config_list(tmp_path):
     argv = ["tabularize", "--data", "d", "--out", "o.csv", "--config", str(cfg),
             "--flip", "partial", "--merge", "vortex=longitudinal"]
     parser, by_name = build_parser()
-    _apply_config_defaults(argv, parser, by_name)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_config_argv(argv, by_name))
     assert args.flip == ["vortex", "partial"]
     assert args.merge == ["partial=vortex", "vortex=longitudinal"]
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("generate", ["out"]),
+    ("tabularize", ["data", "out"]),
+    ("train", ["table", "out"]),
+    ("cv", ["table"]),
+    ("explain", ["model", "out"]),
+    ("evaluate", ["model", "table"]),
+])
+def test_required_options_can_come_from_config(tmp_path, monkeypatch, command, keys):
+    cfg = tmp_path / "req.cfg"
+    cfg.write_text("".join(f"{key} = {key}-from-file\n" for key in keys))
+    seen = {}
+    monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.update(vars(args)))
+    assert main([command, "--config", str(cfg)]) == 0
+    assert {key: seen[key] for key in keys} == {key: f"{key}-from-file" for key in keys}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("k = abc", "argument --k: invalid int value: 'abc'"),
+    ("features = GF+XYZ", "argument --features: invalid choice: 'GF+XYZ'"),
+])
+def test_config_bad_value_is_the_flags_usage_error(tmp_path, capsys, line, message):
+    """A value in the file is parsed as the same flag on the command line."""
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["cv", "--table", "t.csv", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_empty_value_reports_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("width = 32\nout =\n")
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert one_error_line(capsys, "gen.cfg", "line 2", "'out'")
+
+
+def test_config_without_path_is_the_subcommands_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cv", "--table", "t.csv", "--config"])
+    assert exc.value.code == 2
+    assert "gaborboost cv: error: argument --config" in capsys.readouterr().err
 
 
 def test_fit_physics_is_unknown_subcommand(capsys):
@@ -224,6 +267,21 @@ def small_table(tmp_path):
     path = tmp_path / "features.csv"
     write_feature_table(rows, path)
     return path
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_no_rows_left_reports_one_error(small_table, tmp_path, capsys, command):
+    """A PF table whose every fit failed leaves no rows, and no output file."""
+    nan = float("nan")
+    rows = [replace(r, pf_amp=nan, pf_center=nan, pf_width=nan, pf_skew=nan, pf_offset=nan)
+            for r in read_feature_table(small_table)]
+    write_feature_table(rows, small_table)
+    out = tmp_path / "out.json"
+    rc = main([command, "--table", str(small_table), "--features", "PF", "--out", str(out),
+               *FAST_TRAIN])
+    assert rc == 1
+    assert one_error_line(capsys, "'PF'", "30 of 30 dropped")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
