@@ -199,8 +199,6 @@ def _cmd_explain(args: argparse.Namespace) -> None:
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     model = ebm.load_model(args.model)
-    if not isinstance(model, ebm.OvrEnsemble):
-        raise ConfigError(f"{args.model}: evaluate needs a one-vs-rest model")
     rows = dataio.read_feature_table(args.table)
     names = model.models[0].feature_names
     matrix, labels, dropped = harness.matrix_from_names(rows, names)

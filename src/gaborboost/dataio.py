@@ -368,11 +368,14 @@ def read_feature_table(path: str | Path) -> list[FeatureRow]:
         raise SchemaError(f"{path}: header mismatch: {header}")
     columns = _table_columns(with_pf)
     rows = []
+    first_lines = {}
     for lineno, record in enumerate(records, start=2):
         if not record:
             continue
         if len(record) != len(columns):
             raise ParseError(f"{path}: ragged row at line {lineno}")
+        if (first := first_lines.setdefault(record[0], lineno)) != lineno:
+            raise ParseError(f"{path}: {record[0]!r} listed twice, at lines {first} and {lineno}")
         kwargs = {}
         for col, cell in zip(columns, record):
             attr = _COLUMN_TO_ATTR.get(col, col)

@@ -384,6 +384,7 @@ def predict_ovr(ens: OvrEnsemble, table: np.ndarray) -> tuple[list[str], np.ndar
 
 def _model_to_obj(model: EbmModel) -> dict:
     return {
+        # Not read back; dropping it would change the bytes, and digests, of every saved model.
         "kind": "binary",
         "feature_names": list(model.feature_names),
         "intercept": model.intercept,
@@ -451,17 +452,14 @@ def _model_from_obj(obj: dict) -> EbmModel:
         raise ModelFormatError(f"malformed model object: {exc}") from exc
 
 
-def save_model(model: EbmModel | OvrEnsemble, path: str | Path) -> None:
-    """Write a model or ensemble as deterministic JSON."""
-    if isinstance(model, OvrEnsemble):
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "ovr",
-            "classes": list(model.classes),
-            "models": [_model_to_obj(m) for m in model.models],
-        }
-    else:
-        obj = {"schema_version": SCHEMA_VERSION, **_model_to_obj(model)}
+def save_model(ens: OvrEnsemble, path: str | Path) -> None:
+    """Write a one-vs-rest ensemble as deterministic JSON."""
+    obj = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "ovr",
+        "classes": list(ens.classes),
+        "models": [_model_to_obj(m) for m in ens.models],
+    }
     Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -472,12 +470,12 @@ def _finite_number(token: str) -> float:
     return value
 
 
-def load_model(path: str | Path) -> EbmModel | OvrEnsemble:
-    """Read a model or ensemble written by :func:`save_model`.
+def load_model(path: str | Path) -> OvrEnsemble:
+    """Read an ensemble written by :func:`save_model`.
 
     Raises ModelFormatError for anything prediction could not use as
-    written: a non-finite number, a malformed term, or an ensemble
-    whose classes and models do not pair up over one feature list.
+    written: another model kind, a non-finite number, a malformed term,
+    or classes and models that do not pair up over one feature list.
     """
     try:
         # json accepts NaN, Infinity and overflowing literals unless told not to.
@@ -490,22 +488,20 @@ def load_model(path: str | Path) -> EbmModel | OvrEnsemble:
             f"{path}: expected schema_version {SCHEMA_VERSION}, "
             f"got {obj.get('schema_version') if isinstance(obj, dict) else 'non-object'}"
         )
-    if obj.get("kind") == "ovr":
-        classes, models = obj.get("classes"), obj.get("models")
-        if not isinstance(models, list) or not models:
-            raise ModelFormatError(f"{path}: one-vs-rest model has no models")
-        if (not isinstance(classes, list) or not all(isinstance(c, str) for c in classes)
-                or len(set(classes)) != len(classes)):
-            raise ModelFormatError(f"{path}: classes {classes!r} are not distinct strings")
-        if len(classes) != len(models):
-            raise ModelFormatError(f"{path}: {len(classes)} classes but {len(models)} models")
-        models = [_model_from_obj(m) for m in models]
-        if any(m.feature_names != models[0].feature_names for m in models):
-            raise ModelFormatError(f"{path}: the models' feature_names differ")
-        return OvrEnsemble(tuple(classes), models)
-    if obj.get("kind") == "binary":
-        return _model_from_obj(obj)
-    raise ModelFormatError(f"{path}: unknown model kind {obj.get('kind')!r}")
+    if obj.get("kind") != "ovr":
+        raise ModelFormatError(f"{path}: expected model kind 'ovr', got {obj.get('kind')!r}")
+    classes, models = obj.get("classes"), obj.get("models")
+    if not isinstance(models, list) or not models:
+        raise ModelFormatError(f"{path}: one-vs-rest model has no models")
+    if (not isinstance(classes, list) or not all(isinstance(c, str) for c in classes)
+            or len(set(classes)) != len(classes)):
+        raise ModelFormatError(f"{path}: classes {classes!r} are not distinct strings")
+    if len(classes) != len(models):
+        raise ModelFormatError(f"{path}: {len(classes)} classes but {len(models)} models")
+    models = [_model_from_obj(m) for m in models]
+    if any(m.feature_names != models[0].feature_names for m in models):
+        raise ModelFormatError(f"{path}: the models' feature_names differ")
+    return OvrEnsemble(tuple(classes), models)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +532,9 @@ def _explain_model(model: EbmModel) -> dict:
     return {"importances": ranking, "shapes": shapes, "pairs": pairs}
 
 
-def explain_global(model: EbmModel | OvrEnsemble) -> dict:
-    """JSON-ready bundle of importances, shape tables and pair grids."""
-    if isinstance(model, OvrEnsemble):
-        return {
-            "classes": list(model.classes),
-            "per_class": {
-                cls: _explain_model(m) for cls, m in zip(model.classes, model.models)
-            },
-        }
-    return _explain_model(model)
+def explain_global(ens: OvrEnsemble) -> dict:
+    """JSON-ready bundle of importances, shape tables and pair grids, per class."""
+    return {
+        "classes": list(ens.classes),
+        "per_class": {cls: _explain_model(m) for cls, m in zip(ens.classes, ens.models)},
+    }

@@ -129,6 +129,8 @@ def build_matrix(
         raise ConfigError(
             f"unknown feature set {feature_set!r}; choose from {sorted(FEATURE_SETS)}"
         )
+    if not rows:
+        raise ConfigError("the feature table has no rows")
     names = FEATURE_SETS[feature_set]
     matrix, labels, dropped = matrix_from_names(rows, names)
     if not labels:
@@ -163,10 +165,7 @@ class CvReport:
     aggregates: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        obj = asdict(self)
-        obj["classes"] = list(self.classes)
-        obj["feature_names"] = list(self.feature_names)
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _aggregate(values: list[float]) -> dict:

@@ -86,12 +86,11 @@ def pair_heatmap_svg(grid: list[list[float]], features: list[str], title: str) -
 
 
 def write_explanation_svgs(bundle: dict, out_dir: str | Path) -> list[Path]:
-    """Emit bar charts and pair heatmaps for a global explanation bundle."""
+    """Emit a bar chart and pair heatmaps per class of an explanation bundle."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-
-    def emit_one(name: str, entry: dict) -> None:
+    for name, entry in bundle["per_class"].items():
         path = out / f"importance_{name}.svg"
         path.write_text(importance_bars_svg(entry["importances"], f"importances: {name}"))
         written.append(path)
@@ -100,10 +99,4 @@ def write_explanation_svgs(bundle: dict, out_dir: str | Path) -> list[Path]:
             title = f"{name}: {pair['features'][0]} x {pair['features'][1]}"
             ppath.write_text(pair_heatmap_svg(pair["grid"], pair["features"], title))
             written.append(ppath)
-
-    if "per_class" in bundle:
-        for cls, entry in bundle["per_class"].items():
-            emit_one(cls, entry)
-    else:
-        emit_one("model", bundle)
     return written

@@ -28,6 +28,7 @@ from gaborboost.dataio import (
     write_feature_table,
 )
 from gaborboost.ebm import (
+    OvrEnsemble,
     TrainConfig,
     explain_global,
     predict_logit,
@@ -289,8 +290,8 @@ def test_criterion_07_predictions_decompose_into_lookups(tmp_path):
     y = (table[:, 0] + table[:, 1] * table[:, 2] > 0).astype(float)
     model = train_binary(table, y, TrainConfig(max_pairs=3, seed=0))
     path = tmp_path / "model.json"
-    save_model(model, path)
-    obj = json.loads(path.read_text())
+    save_model(OvrEnsemble(("pos",), [model]), path)
+    obj = json.loads(path.read_text())["models"][0]
 
     probe = rng.normal(size=(1000, 5))
     probe[rng.random(probe.shape) < 0.05] = np.nan

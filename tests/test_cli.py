@@ -7,7 +7,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import gaborboost
@@ -63,16 +62,20 @@ def test_missing_model_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_evaluate_rejects_binary_model(tmp_path, capsys):
-    rng = np.random.default_rng(0)
-    table = rng.normal(size=(40, 2))
-    y = (table[:, 0] > 0).astype(float)
-    model = ebm.train_binary(table, y, ebm.TrainConfig(max_pairs=0, seed=0))
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_evaluate_rejects_binary_model(tmp_path, capsys, command):
+    """explain and evaluate read the same files: a bare member model is neither's."""
     path = tmp_path / "binary.json"
-    ebm.save_model(model, path)
-    rc = main(["evaluate", "--model", str(path), "--table", str(path)])
+    path.write_text(json.dumps({"schema_version": 1, "kind": "binary", "feature_names": ["f0"],
+                                "intercept": 0.0, "bins": [[]], "importances": {},
+                                "shapes": [{"feature": 0, "scores": [0.0, 0.0]}],
+                                "pairs": []}))
+    out = tmp_path / "out.json"
+    table = ["--table", str(path)] if command == "evaluate" else []
+    rc = main([command, "--model", str(path), "--out", str(out), *table])
     assert rc == 1
-    assert "one-vs-rest" in capsys.readouterr().err
+    assert one_error_line(capsys, "'binary'")
+    assert not out.exists()
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -281,6 +284,30 @@ def test_no_rows_left_reports_one_error(small_table, tmp_path, capsys, command):
                *FAST_TRAIN])
     assert rc == 1
     assert one_error_line(capsys, "'PF'", "30 of 30 dropped")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_empty_table_reports_one_error(tmp_path, capsys, command):
+    """A header-only table says so, not that physics fits dropped its rows."""
+    table, out = tmp_path / "empty.csv", tmp_path / "out.json"
+    write_feature_table([], table)
+    rc = main([command, "--table", str(table), "--out", str(out), *FAST_TRAIN])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "no rows" in err
+    assert "physics" not in err
+    assert not out.exists()
+
+
+def test_repeated_table_id_reports_one_error(small_table, tmp_path, capsys):
+    """A repeated row could sit in a training and a test fold at once."""
+    lines = small_table.read_text().splitlines(keepends=True)
+    small_table.write_text("".join(lines + lines[1:3]))
+    out = tmp_path / "report.json"
+    rc = main(["cv", "--table", str(small_table), "--k", "3", "--out", str(out), *FAST_TRAIN])
+    assert rc == 1
+    assert one_error_line(capsys, "'longitudinal_0' listed twice", "lines 2 and 32")
     assert not out.exists()
 
 

@@ -252,14 +252,14 @@ FLOAT_FIELDS = [f.name for f in fields(FeatureRow) if f.name not in ("id", "labe
 
 @st.composite
 def feature_rows(draw):
-    """Rows of one schema whose strings need CSV quoting and whose floats
-    span NaN, the infinities, signed zeros and subnormals."""
+    """Rows of one schema, with distinct ids, whose strings need CSV quoting
+    and whose floats span NaN, the infinities, signed zeros and subnormals."""
     with_pf = draw(st.booleans())
     names = [n for n in FLOAT_FIELDS if with_pf or n not in PF_COLUMNS]
     return [
-        FeatureRow(id=draw(TABLE_TEXT), label=draw(TABLE_TEXT),
+        FeatureRow(id=row_id, label=draw(TABLE_TEXT),
                    **{name: draw(st.floats()) for name in names})
-        for _ in range(draw(st.integers(0, 4)))
+        for row_id in draw(st.lists(TABLE_TEXT, max_size=4, unique=True))
     ]
 
 
@@ -314,6 +314,13 @@ def test_feature_table_rejects_mixed_schemas(tmp_path):
     with_pf = make_row(pf_amp=1.0, pf_center=2.0, pf_width=3.0, pf_skew=0.0, pf_offset=0.1)
     with pytest.raises(SchemaError, match="mix"):
         write_feature_table([make_row(), with_pf], tmp_path / "t.csv")
+
+
+def test_feature_table_rejects_repeated_id(tmp_path):
+    path = tmp_path / "table.csv"
+    write_feature_table([make_row("img_000"), make_row("img_001"), make_row("img_000")], path)
+    with pytest.raises(ParseError, match="'img_000' listed twice, at lines 2 and 4"):
+        read_feature_table(path)
 
 
 def test_feature_table_bad_value(tmp_path):

@@ -85,7 +85,7 @@ def test_single_class_training_gives_intercept_only():
         np.testing.assert_array_equal(shape.scores, 0.0)
     assert predict_proba(model, table).min() >= 0.999999
     # nothing contributes, so the importance ranking is empty
-    assert explain_global(model)["importances"] == []
+    assert explain_global(_one_class(model))["per_class"]["pos"]["importances"] == []
 
 
 def test_threshold_problem_separates_cleanly():
@@ -144,8 +144,13 @@ def test_predict_logit_matches_manual_lookup():
     assert np.array_equal(predict_logit(model, probe), logit)
 
 
-def _saved(model, path):
-    save_model(model, path)
+def _one_class(model):
+    """A saved model is always an ensemble; this one holds a single class."""
+    return OvrEnsemble(("pos",), [model])
+
+
+def _saved(ens, path):
+    save_model(ens, path)
     return path.read_bytes()
 
 
@@ -197,9 +202,9 @@ SMALL_CONFIGS = st.builds(
 def test_row_order_does_not_change_the_model(tmp_path_factory, case, config):
     table, y, perm = case
     tmp = tmp_path_factory.mktemp("order")
-    model_a = train_binary(table, y, config)
-    model_b = train_binary(table[perm], y[perm], config)
-    assert _saved(model_a, tmp / "a.json") == _saved(model_b, tmp / "b.json")
+    ens_a = _one_class(train_binary(table, y, config))
+    ens_b = _one_class(train_binary(table[perm], y[perm], config))
+    assert _saved(ens_a, tmp / "a.json") == _saved(ens_b, tmp / "b.json")
 
 
 @settings(max_examples=25, deadline=None)
@@ -208,9 +213,9 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, case, config, n_clas
     table, _, perm = case
     labels = [f"c{k % n_classes}" for k in perm]
     tmp = tmp_path_factory.mktemp("resave")
-    for model in (train_binary(table, (perm % 2).astype(float), config),
-                  train_ovr(table, labels, config)):
-        first = _saved(model, tmp / "first.json")
+    for ens in (_one_class(train_binary(table, (perm % 2).astype(float), config)),
+                train_ovr(table, labels, config)):
+        first = _saved(ens, tmp / "first.json")
         assert _saved(load_model(tmp / "first.json"), tmp / "second.json") == first
 
 
@@ -229,20 +234,6 @@ def test_validation_loss_beats_intercept_alone():
     fitted = _log_loss(y[is_val], predict_logit(model, table)[is_val], w[is_val])
     flat = _log_loss(y[is_val], np.full(is_val.sum(), model.intercept), w[is_val])
     assert fitted < flat
-
-
-def test_save_load_round_trip_binary(tmp_path):
-    rng = np.random.default_rng(7)
-    table = rng.normal(size=(200, 2))
-    y = (table.sum(axis=1) > 0).astype(float)
-    model = train_binary(table, y, TrainConfig(max_pairs=1, seed=0))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert isinstance(loaded, EbmModel)
-    np.testing.assert_array_equal(
-        predict_logit(loaded, table), predict_logit(model, table)
-    )
 
 
 def test_save_load_round_trip_ovr(tmp_path):
@@ -275,7 +266,7 @@ def test_load_model_rejects_wrong_schema_version(tmp_path):
     y = (table[:, 0] > 0).astype(float)
     model = train_binary(table, y, FAST)
     path = tmp_path / "model.json"
-    save_model(model, path)
+    save_model(_one_class(model), path)
     obj = json.loads(path.read_text())
     obj["schema_version"] = 99
     path.write_text(json.dumps(obj))
@@ -284,10 +275,12 @@ def test_load_model_rejects_wrong_schema_version(tmp_path):
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):
+    """Only the one-vs-rest ensemble is a model file; a bare member is not."""
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"schema_version": 1, "kind": "mystery"}))
-    with pytest.raises(ModelFormatError):
-        load_model(path)
+    for kind in ("mystery", "binary", None):
+        path.write_text(json.dumps({"schema_version": 1, "kind": kind}))
+        with pytest.raises(ModelFormatError, match=f"got {kind!r}"):
+            load_model(path)
 
 
 def test_intercept_only_model_predicts_half():
@@ -336,7 +329,7 @@ def test_explain_global_shapes_align_with_bins():
     table = rng.normal(size=(200, 2))
     y = (table[:, 0] > 0).astype(float)
     model = train_binary(table, y, TrainConfig(max_pairs=1, seed=0))
-    bundle = explain_global(model)
+    bundle = explain_global(_one_class(model))["per_class"]["pos"]
     for entry in bundle["shapes"]:
         assert len(entry["scores"]) == len(entry["cuts"]) + 2
     for entry in bundle["pairs"]:

@@ -47,9 +47,3 @@ def test_write_explanation_svgs_per_class(tmp_path):
     assert names == ["importance_a.svg", "importance_b.svg", "pair_b_0.svg"]
     for path in written:
         assert path.read_text().startswith("<svg")
-
-
-def test_write_explanation_svgs_single_model(tmp_path):
-    bundle = {"importances": [], "shapes": [], "pairs": []}
-    written = write_explanation_svgs(bundle, tmp_path)
-    assert [p.name for p in written] == ["importance_model.svg"]
