@@ -133,22 +133,14 @@ def load_pgm(path: str | Path) -> GrayImage:
 def load_csv_image(path: str | Path) -> GrayImage:
     """Read a CSV matrix; values are scaled by the max absolute value."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not a text file: {exc}") from None
     rows: list[list[float]] = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for lineno, record in enumerate(_csv_records(path), start=1):
+        if len(record) <= 1 and not "".join(record).strip():  # a blank line
             continue
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
+        if rows and len(record) != len(rows[0]):
             raise ParseError(f"{path}: ragged row at line {lineno}")
         try:
-            values = [float(p) for p in parts]
+            values = [float(p) for p in record]
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
         for v in values:

@@ -22,8 +22,6 @@ from .util import serial_map as parallel_map
 
 SCHEMA_VERSION = 1
 PAIR_BINS = 16
-# Guard for intercepts of single-class training sets.
-RATE_CLIP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,6 @@ def _val_split(y: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     is_val = np.zeros(len(y), dtype=bool)
     for cls in (0.0, 1.0):
         members = np.flatnonzero(y == cls)
-        if members.size == 0:
-            continue
         k = int(round(cfg.val_fraction * members.size))
         if cfg.val_fraction > 0 and members.size >= 5:
             k = max(k, 1)
@@ -232,14 +228,16 @@ def train_binary(
 ) -> EbmModel:
     """Fit one binary model; see the module docstring for the recipe.
 
-    Boosting reads the training rows first, then the validation rows,
-    each block in canonical order."""
+    ``y`` must hold both 0 and 1.  Boosting reads the training rows first,
+    then the validation rows, each block in canonical order."""
     table = np.asarray(table, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if table.ndim != 2 or len(table) != len(y):
         raise ConfigError("table and labels must align")
     if len(y) < 20:
         raise ConfigError(f"need at least 20 rows to train, got {len(y)}")
+    if not ((y == 0).any() and (y == 1).any()):
+        raise ConfigError(f"binary labels must hold both 0 and 1, got {np.unique(y).tolist()}")
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         r, c = bad[0]
@@ -265,27 +263,23 @@ def train_binary(
     if config.balance:
         for cls in (0.0, 1.0):
             members = y == cls
-            if members.any():
-                w[members] = n / (2.0 * members.sum())
+            w[members] = n / (2.0 * members.sum())
 
     rate = float((w * y).sum() / w.sum())
-    clipped = min(max(rate, RATE_CLIP), 1.0 - RATE_CLIP)
-    intercept = math.log(clipped / (1.0 - clipped))
+    intercept = math.log(rate / (1.0 - rate))
     shapes = [Term((i,), (cuts[i],), np.zeros(len(cuts[i]) + 2)) for i in range(d)]
     model = EbmModel(tuple(feature_names), intercept, shapes, [])
 
-    # A single-class table has nothing to separate and keeps the intercept-only model.
-    if len(np.unique(y)) > 1:
-        is_val = _val_split(y, config)
-        n_train = n - int(is_val.sum())
-        train_first = np.argsort(is_val, kind="stable")
-        rows, labels, weights = table[train_first], y[train_first], w[train_first]
-        logit = _boost_terms(model.shapes, rows, np.full(n, intercept), labels, weights,
-                             n_train, config)
-        if config.max_pairs > 0 and d >= 2:
-            model.pairs = _screen_pairs(rows[:n_train], labels[:n_train], weights[:n_train],
-                                        logit[:n_train], config)
-            _boost_terms(model.pairs, rows, logit, labels, weights, n_train, config)
+    is_val = _val_split(y, config)
+    n_train = n - int(is_val.sum())
+    train_first = np.argsort(is_val, kind="stable")
+    rows, labels, weights = table[train_first], y[train_first], w[train_first]
+    logit = _boost_terms(model.shapes, rows, np.full(n, intercept), labels, weights,
+                         n_train, config)
+    if config.max_pairs > 0 and d >= 2:
+        model.pairs = _screen_pairs(rows[:n_train], labels[:n_train], weights[:n_train],
+                                    logit[:n_train], config)
+        _boost_terms(model.pairs, rows, logit, labels, weights, n_train, config)
 
     # Centring sums over the canonical order, which the split does not touch.
     _finalize(model, table, w)
@@ -355,8 +349,12 @@ def train_ovr(
     config: TrainConfig = TrainConfig(),
     feature_names: tuple[str, ...] | None = None,
 ) -> OvrEnsemble:
-    """One binary model per class, trained in class order."""
+    """One binary model per class, trained in class order; raises
+    ConfigError for labels of fewer than two classes, which leave nothing
+    to tell apart."""
     classes = tuple(sorted(set(labels)))
+    if len(classes) < 2:
+        raise ConfigError(f"need at least two classes to train, got only {list(classes)}")
     label_arr = np.asarray(labels)
 
     def job(cls: str) -> EbmModel:

@@ -244,20 +244,3 @@ class ScoreBlock:
             field -= (self.dc[i] * self.mean_re_gx[cols]).astype(real, copy=False)[:, None, None] * box
             out[k] = np.sqrt((field.real**2 + field.imag**2).sum(axis=(1, 2)))
         return out
-
-
-def block_scores(
-    img: GrayImage,
-    sigma_x: float,
-    sigma_ys: tuple[float, ...],
-    lams: tuple[float, ...],
-) -> np.ndarray:
-    """Field norms of a block of theta=0, DC-corrected kernels sharing ``sigma_x``.
-
-    Entry [i, j] is the l2 norm of ``convolve(img, make_kernel(GaborParams(
-    sigma_x, sigma_ys[i], lam=lams[j]), dc_correct=True))`` up to rounding;
-    ``ScoreBlock`` describes the method.  Raises ``SizeError`` exactly when
-    ``convolve`` would for some kernel of the block.
-    """
-    block = ScoreBlock(img, sigma_x, sigma_ys, lams)
-    return block.norms(range(len(sigma_ys)), range(len(lams)))

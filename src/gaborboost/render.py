@@ -86,16 +86,22 @@ def pair_heatmap_svg(grid: list[list[float]], features: list[str], title: str) -
 
 
 def write_explanation_svgs(bundle: dict, out_dir: str | Path) -> list[Path]:
-    """Emit a bar chart and pair heatmaps per class of an explanation bundle."""
+    """Emit a bar chart and pair heatmaps per class of an explanation bundle.
+
+    Files are named by the class's index k in ``bundle["classes"]``, so a
+    label never becomes a path: ``importance_<k>.svg`` and
+    ``pair_<k>_<n>.svg`` for the class's n-th pair.  Titles carry the label.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, entry in bundle["per_class"].items():
-        path = out / f"importance_{name}.svg"
+    for k, name in enumerate(bundle["classes"]):
+        entry = bundle["per_class"][name]
+        path = out / f"importance_{k}.svg"
         path.write_text(importance_bars_svg(entry["importances"], f"importances: {name}"))
         written.append(path)
         for n, pair in enumerate(entry.get("pairs", [])):
-            ppath = out / f"pair_{name}_{n}.svg"
+            ppath = out / f"pair_{k}_{n}.svg"
             title = f"{name}: {pair['features'][0]} x {pair['features'][1]}"
             ppath.write_text(pair_heatmap_svg(pair["grid"], pair["features"], title))
             written.append(ppath)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .dataio import GrayImage, LabeledDataset, write_pgm
 from .errors import ConfigError
-from .util import parallel_map
 
 CLASS_NAMES = ("longitudinal", "partial", "vortex")
 
@@ -141,16 +140,9 @@ def _render(spec: SynthSpec, label: str, index: int) -> tuple[GrayImage, TruthRo
 
 def generate(spec: SynthSpec) -> tuple[LabeledDataset, list[TruthRow]]:
     """Render all requested images; deterministic for a given spec."""
-    plan: list[tuple[str, int]] = []
-    index = 0
-    for label, count in zip(
-        CLASS_NAMES, (spec.n_longitudinal, spec.n_partial, spec.n_vortex)
-    ):
-        for _ in range(count):
-            plan.append((label, index))
-            index += 1
-
-    rendered = parallel_map(lambda job: _render(spec, job[0], job[1]), plan)
+    counts = (spec.n_longitudinal, spec.n_partial, spec.n_vortex)
+    plan = [label for label, count in zip(CLASS_NAMES, counts) for _ in range(count)]
+    rendered = [_render(spec, label, index) for index, label in enumerate(plan)]
     images = [img for img, _ in rendered]
     truths = [truth for _, truth in rendered]
     labels = [t.label for t in truths]

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use.
 
-They check the library by independent or naive routes, so they are kept
+Most check the library by independent or naive routes; ``block_scores``
+is a shorthand for a library call that only tests make.  They are kept
 out of the package's public API.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from gaborboost.dataio import FeatureRow, GrayImage
 from gaborboost.features import GridResult
-from gaborboost.gabor import ComplexKernel, GaborParams, block_scores, convolve, make_kernel
+from gaborboost.gabor import ComplexKernel, GaborParams, ScoreBlock, convolve, make_kernel
 
 
 def value_at(kernel: ComplexKernel, dx: int, dy: int) -> complex:
@@ -42,6 +43,19 @@ def response_norm(img: GrayImage, p: GaborParams, dc_correct: bool = True) -> fl
     """l2 norm of the complex response magnitude over the whole field."""
     kernel = make_kernel(p, dc_correct=dc_correct)
     return float(np.linalg.norm(convolve(img, kernel)))
+
+
+def block_scores(
+    img: GrayImage,
+    sigma_x: float,
+    sigma_ys: tuple[float, ...],
+    lams: tuple[float, ...],
+) -> np.ndarray:
+    """Every cell of one ``ScoreBlock`` scored in float64: the library's
+    search scores, not an independent route.  Entry [i, j] equals
+    ``response_norm(img, GaborParams(sigma_x, sigma_ys[i], lam=lams[j]))``
+    up to rounding."""
+    return ScoreBlock(img, sigma_x, sigma_ys, lams).norms(range(len(sigma_ys)), range(len(lams)))
 
 
 def scan_float64(

@@ -19,14 +19,17 @@ from gaborboost.physfit import fit_image, fit_rows
 FAST_TRAIN = ["--max-rounds", "200", "--patience", "10", "--max-pairs", "0"]
 
 
-def test_cli_import_leaves_out_scipy_ndimage():
-    """At run time scipy serves only scipy.fft; ndimage is a test oracle."""
+def test_cli_import_leaves_out_scipy_oracles():
+    """At run time scipy serves only scipy.fft; the rest of scipy is test
+    oracles, whose import would slow every command's start."""
     src = str(Path(gaborboost.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, gaborboost.cli; print('scipy.ndimage' in sys.modules)"
+    oracles = {f"scipy.{name}" for name in
+               ("signal", "ndimage", "optimize", "integrate", "stats", "interpolate")}
+    probe = f"import sys, gaborboost.cli; print(sorted({oracles!r} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_help_exits_zero(capsys):
@@ -300,6 +303,19 @@ def test_empty_table_reports_one_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_one_class_table_reports_one_error(small_table, tmp_path, capsys, command):
+    """A model of one class cannot be wrong, so training refuses to make one."""
+    rows = [r for r in read_feature_table(small_table) if r.label == "vortex"]
+    write_feature_table(rows, small_table)
+    out = tmp_path / "out.json"
+    folds = ["--k", "3"] if command == "cv" else []
+    rc = main([command, "--table", str(small_table), "--out", str(out), *FAST_TRAIN, *folds])
+    assert rc == 1
+    assert one_error_line(capsys, "two classes", "'vortex'")
+    assert not out.exists()
+
+
 def test_repeated_table_id_reports_one_error(small_table, tmp_path, capsys):
     """A repeated row could sit in a training and a test fold at once."""
     lines = small_table.read_text().splitlines(keepends=True)
@@ -402,6 +418,19 @@ def small_model(small_table, tmp_path):
     path = tmp_path / "model.json"
     assert main(["train", "--table", str(small_table), "--out", str(path), *FAST_TRAIN]) == 0
     return path
+
+
+def test_explain_svgs_are_named_by_class_index(small_table, tmp_path):
+    """A label is never a path: class 'a/x' gets importance_0.svg."""
+    rows = [replace(r, label="a/x" if r.label == "longitudinal" else "b")
+            for r in read_feature_table(small_table)]
+    write_feature_table(rows, small_table)
+    model, svg_dir = tmp_path / "model.json", tmp_path / "svg"
+    assert main(["train", "--table", str(small_table), "--out", str(model), *FAST_TRAIN]) == 0
+    assert main(["explain", "--model", str(model), "--out", str(tmp_path / "explain.json"),
+                 "--svg-dir", str(svg_dir)]) == 0
+    assert sorted(p.name for p in svg_dir.iterdir()) == ["importance_0.svg", "importance_1.svg"]
+    assert "importances: a/x" in (svg_dir / "importance_0.svg").read_text()
 
 
 def test_evaluate_names_zero_division_classes(small_model, small_table, tmp_path):

@@ -111,6 +111,24 @@ def test_load_csv_image_ragged_row(tmp_path):
         load_image(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3,x\n", "line 2: non-numeric value"),
+    ("1,2\n\n3,inf\n", "line 3: non-finite value inf"),
+    ("", "empty CSV image"),
+])
+def test_load_csv_image_bad_values(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_image(path)
+
+
+def test_load_csv_image_skips_blank_lines(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n \n\n3,4\n")
+    np.testing.assert_allclose(load_image(path).data, [[0.25, 0.5], [0.75, 1.0]])
+
+
 @settings(max_examples=200, deadline=None)
 @example(data=b"P2\n2 1\n255\n0 9\n")
 @example(data=b"0.5,\xff\n")

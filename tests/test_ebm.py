@@ -76,14 +76,21 @@ def test_bin_column_routes_nan_and_out_of_range():
     np.testing.assert_array_equal(pair.lookup(rows), [8.0, 1.0, 7.0])
 
 
-def test_single_class_training_gives_intercept_only():
+def test_train_binary_rejects_a_single_label():
     rng = np.random.default_rng(1)
     table = rng.normal(size=(30, 3))
-    model = train_binary(table, np.ones(30), FAST)
-    assert model.intercept == pytest.approx(math.log((1 - 1e-6) / 1e-6), abs=1e-6)
+    for y in (np.ones(30), np.zeros(30)):
+        with pytest.raises(ConfigError, match="both 0 and 1"):
+            train_binary(table, y, FAST)
+
+
+def test_constant_features_give_an_empty_ranking():
+    table = np.full((30, 3), 2.5)
+    y = (np.arange(30) % 3 == 0).astype(float)
+    model = train_binary(table, y, FAST)
     for shape in model.shapes:
         np.testing.assert_array_equal(shape.scores, 0.0)
-    assert predict_proba(model, table).min() >= 0.999999
+    np.testing.assert_allclose(predict_proba(model, table), y.mean())
     # nothing contributes, so the importance ranking is empty
     assert explain_global(_one_class(model))["per_class"]["pos"]["importances"] == []
 
@@ -172,12 +179,13 @@ def _signed_zero_case():
 @st.composite
 def tables_with_ties(draw):
     """A small table whose values repeat, signed zeros included, with
-    labels of either class, plus a row permutation."""
+    labels of both classes, plus a row permutation."""
     n = draw(st.integers(20, 48))
     d = draw(st.integers(2, 4))
     pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8)) + [-0.0, 0.0]
     table = draw(arrays(np.float64, (n, d), elements=st.sampled_from(pool)))
     y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    y[:2] = (0.0, 1.0)
     perm = np.array(draw(st.permutations(range(n))))
     return table, y, perm
 

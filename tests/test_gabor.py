@@ -9,11 +9,10 @@ from gaborboost.features import default_grid, flatten_background
 from gaborboost.gabor import (
     GaborParams,
     ScoreBlock,
-    block_scores,
     convolve,
     make_kernel,
 )
-from oracles import convolve_direct, response_norm, value_at
+from oracles import block_scores, convolve_direct, response_norm, value_at
 
 
 def test_params_validation():

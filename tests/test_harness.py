@@ -321,7 +321,7 @@ def test_benchmark_library_calls_still_work():
 
 def test_artifacts_identical_at_one_and_two_threads(tmp_path, monkeypatch):
     """The feature table, the CV report and the model are the same bytes
-    whether the pools (rendering, feature extraction) run one thread or two."""
+    whether the feature-extraction pool runs one thread or two."""
     config = TrainConfig(max_rounds=200, patience=10, max_pairs=3, seed=0)
     artifacts = {}
     for threads in ("1", "2"):

@@ -44,6 +44,7 @@ def test_write_explanation_svgs_per_class(tmp_path):
     }
     written = write_explanation_svgs(bundle, tmp_path)
     names = sorted(p.name for p in written)
-    assert names == ["importance_a.svg", "importance_b.svg", "pair_b_0.svg"]
+    assert names == ["importance_0.svg", "importance_1.svg", "pair_1_0.svg"]
     for path in written:
         assert path.read_text().startswith("<svg")
+    assert "importances: b" in (tmp_path / "importance_1.svg").read_text()
