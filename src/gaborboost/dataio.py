@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,30 +66,25 @@ class LabeledDataset:
 # image loading
 
 
+# In a PGM header a comment runs from '#' to the end of its line, and a
+# token is a run of bytes that are neither whitespace nor '#'.
+_PGM_LEXEME = re.compile(rb"#[^\n]*|[^ \t\r\n#]+")
+
+
 def _pgm_header_tokens(buf: bytes, path):
-    """Yield (token, line) for the three header fields after the magic."""
-    pos = 0
-    line = 1
+    """The magic and the three header fields as (token, line) pairs, and the
+    offset where the raster begins."""
     tokens = []
-    while len(tokens) < 4 and pos < len(buf):
-        ch = buf[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(buf) and buf[pos : pos + 1] != b"\n":
-                pos += 1
+    for match in _PGM_LEXEME.finditer(buf):
+        if match[0].startswith(b"#"):
             continue
-        if ch in b" \t\r\n":
-            if ch == b"\n":
-                line += 1
-            pos += 1
-            continue
-        start = pos
-        while pos < len(buf) and buf[pos : pos + 1] not in b" \t\r\n#":
-            pos += 1
-        tokens.append((buf[start:pos].decode("ascii", "replace"), line))
-    if len(tokens) < 4:
-        raise ParseError(f"{path}: line {line}: truncated PGM header")
-    # raster begins after exactly one whitespace byte following maxval
-    return tokens, pos + 1
+        line = buf.count(b"\n", 0, match.start()) + 1
+        tokens.append((match[0].decode("ascii", "replace"), line))
+        if len(tokens) == 4:
+            # raster begins after exactly one whitespace byte following maxval
+            return tokens, match.end() + 1
+    lines = buf.count(b"\n") + 1
+    raise ParseError(f"{path}: line {lines}: truncated PGM header")
 
 
 def load_pgm(path: str | Path) -> GrayImage:
@@ -134,11 +131,7 @@ def load_csv_image(path: str | Path) -> GrayImage:
     """Read a CSV matrix; values are scaled by the max absolute value."""
     path = Path(path)
     rows: list[list[float]] = []
-    for lineno, record in enumerate(_csv_records(path), start=1):
-        if len(record) <= 1 and not "".join(record).strip():  # a blank line
-            continue
-        if rows and len(record) != len(rows[0]):
-            raise ParseError(f"{path}: ragged row at line {lineno}")
+    for lineno, record in _csv_records(path):
         try:
             values = [float(p) for p in record]
         except ValueError:
@@ -175,18 +168,33 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
     Path(path).write_bytes(header + quantized.tobytes())
 
 
-def _csv_records(path: Path) -> list[list[str]]:
-    """Every record of a CSV text file; undecodable bytes and malformed CSV,
-    such as a field over the csv module's size limit, are a ParseError."""
+def _csv_records(path: Path, keyed: bool = False) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, record) for each record of a CSV text file that is not
+    blank (no field, or one field of only whitespace); line is the physical
+    line the record starts on. Every record must be as wide as the first;
+    with ``keyed`` the first is a header and no two later records share
+    their first field. Undecodable bytes and malformed CSV, such as a field
+    over the csv module's size limit, are a ParseError before any yield."""
+    records, start = [], 1
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
-                return list(reader)
+                for record in reader:
+                    if len(record) > 1 or "".join(record).strip():
+                        records.append((start, record))
+                    start = reader.line_num + 1
             except csv.Error as exc:
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file: {exc}") from None
+    first_lines = {}
+    for k, (line, record) in enumerate(records):
+        if len(record) != len(records[0][1]):
+            raise ParseError(f"{path}: ragged row at line {line}")
+        if keyed and k and (first := first_lines.setdefault(record[0], line)) != line:
+            raise ParseError(f"{path}: {record[0]!r} listed twice, at lines {first} and {line}")
+        yield line, record
 
 
 def load_dataset(directory: str | Path) -> LabeledDataset:
@@ -195,21 +203,12 @@ def load_dataset(directory: str | Path) -> LabeledDataset:
     manifest = directory / "labels.csv"
     if not manifest.is_file():
         raise ParseError(f"{manifest}: missing labels manifest")
-    header, *records = _csv_records(manifest) or [None]
+    records = _csv_records(manifest, keyed=True)
+    _, header = next(records, (None, None))
     if header != ["filename", "label"]:
         raise SchemaError(f"{manifest}: expected header filename,label, got {header}")
-    entries = {}
-    for lineno, row in enumerate(records, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"{manifest}: ragged row at line {lineno}")
-        if row[0] in entries:
-            raise ParseError(f"{manifest}: {row[0]!r} listed twice, at lines "
-                             f"{entries[row[0]][1]} and {lineno}")
-        entries[row[0]] = (row[1], lineno)
     images, labels, names = [], [], []
-    for fname, (label, _) in sorted(entries.items()):
+    for fname, label in sorted(record for _, record in records):
         images.append(load_image(directory / fname))
         labels.append(label)
         names.append(fname)
@@ -271,14 +270,17 @@ BASE_COLUMNS = (
     "egf_bl_br",
 )
 
-_COLUMN_TO_ATTR = {"lambda": "lam"}
+# Table columns and model-input names that differ from their FeatureRow field.
+_COLUMN_TO_ATTR = {"lambda": "lam", "x_star_norm": "x_star", "y_star_norm": "y_star"}
 
 
 @dataclass
 class FeatureRow:
     """One image's extracted features plus its label.
 
-    ``lam`` maps to the CSV column named ``lambda``. The five ``pf_*``
+    ``lam`` maps to the CSV column named ``lambda``, and :meth:`value`
+    also reads ``x_star`` and ``y_star`` by their model-input names
+    ``x_star_norm`` and ``y_star_norm``. The five ``pf_*``
     fields are either all present or all None; NaN values mark a failed
     profile fit. ``roi_clamped`` is diagnostic only and is not serialized.
     """
@@ -345,7 +347,8 @@ def write_feature_table(rows: list[FeatureRow], path: str | Path) -> None:
 def read_feature_table(path: str | Path) -> list[FeatureRow]:
     """Read a feature CSV written by :func:`write_feature_table`."""
     path = Path(path)
-    header, *records = _csv_records(path) or [None]
+    records = _csv_records(path, keyed=True)
+    _, header = next(records, (None, None))
     if header is None:
         raise SchemaError(f"{path}: empty feature table")
     for expect_pf in (False, True):
@@ -360,14 +363,7 @@ def read_feature_table(path: str | Path) -> list[FeatureRow]:
         raise SchemaError(f"{path}: header mismatch: {header}")
     columns = _table_columns(with_pf)
     rows = []
-    first_lines = {}
-    for lineno, record in enumerate(records, start=2):
-        if not record:
-            continue
-        if len(record) != len(columns):
-            raise ParseError(f"{path}: ragged row at line {lineno}")
-        if (first := first_lines.setdefault(record[0], lineno)) != lineno:
-            raise ParseError(f"{path}: {record[0]!r} listed twice, at lines {first} and {lineno}")
+    for lineno, record in records:
         kwargs = {}
         for col, cell in zip(columns, record):
             attr = _COLUMN_TO_ATTR.get(col, col)

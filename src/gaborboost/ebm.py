@@ -473,7 +473,8 @@ def load_model(path: str | Path) -> OvrEnsemble:
 
     Raises ModelFormatError for anything prediction could not use as
     written: another model kind, a non-finite number, a malformed term,
-    or classes and models that do not pair up over one feature list.
+    fewer than two classes, or classes and models that do not pair up
+    over one feature list.
     """
     try:
         # json accepts NaN, Infinity and overflowing literals unless told not to.
@@ -496,6 +497,9 @@ def load_model(path: str | Path) -> OvrEnsemble:
         raise ModelFormatError(f"{path}: classes {classes!r} are not distinct strings")
     if len(classes) != len(models):
         raise ModelFormatError(f"{path}: {len(classes)} classes but {len(models)} models")
+    if len(classes) < 2:
+        # A model of one class cannot be wrong; training refuses to make one.
+        raise ModelFormatError(f"{path}: a model needs at least two classes, got {classes!r}")
     models = [_model_from_obj(m) for m in models]
     if any(m.feature_names != models[0].feature_names for m in models):
         raise ModelFormatError(f"{path}: the models' feature_names differ")

@@ -35,9 +35,6 @@ FEATURE_SETS = {
     "PF": PF_COLUMNS,
 }
 
-# Map display feature names onto FeatureRow attributes.
-_NAME_TO_COLUMN = {"x_star_norm": "x_star", "y_star_norm": "y_star"}
-
 
 def stratified_kfold(labels: list[str], k: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """Assign indices to k folds, round-robin within each shuffled class;
@@ -114,7 +111,7 @@ def matrix_from_names(
     kept = [r for r in rows if not (uses_pf and r.pf_failed)] if uses_pf else list(rows)
     dropped = len(rows) - len(kept)
     matrix = np.array(
-        [[float(r.value(_NAME_TO_COLUMN.get(n, n))) for n in names] for r in kept],
+        [[float(r.value(n)) for n in names] for r in kept],
         dtype=np.float64,
     ).reshape(len(kept), len(names))
     return matrix, [r.label for r in kept], dropped

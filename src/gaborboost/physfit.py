@@ -136,9 +136,6 @@ def fit_profile(profile: np.ndarray) -> FitResult:
         grad = jac.T @ residual
         hess = jac.T @ jac
 
-        new_params = params
-        new_cost = cost
-        accepted = False
         while damping < 1e12:
             try:
                 step = np.linalg.solve(hess + damping * np.eye(5), -grad)
@@ -149,18 +146,13 @@ def fit_profile(profile: np.ndarray) -> FitResult:
             trial_residual = dip_model(x, *trial) - y
             trial_cost = 0.5 * float(trial_residual @ trial_residual)
             if np.isfinite(trial_cost) and trial_cost < cost:
-                new_params = trial
-                new_cost = trial_cost
-                residual = trial_residual
                 damping = max(damping / 3.0, 1e-12)
-                accepted = True
                 break
             damping *= 10.0
-        if not accepted:
+        else:  # no damping lowers the cost
             break
-        improvement = cost - new_cost
-        params = new_params
-        cost = new_cost
+        improvement = cost - trial_cost
+        params, cost, residual = trial, trial_cost, trial_residual
         if improvement < REL_COST_TOL * max(cost, 1e-30):
             break
 

@@ -488,6 +488,8 @@ def _keep_two_shapes(obj):
     (lambda obj: obj.update(classes=[0, 1, 2]), "not distinct strings"),
     (lambda obj: obj["classes"].pop(), "2 classes but 3 models"),
     (lambda obj: obj["models"].pop(), "3 classes but 2 models"),
+    (lambda obj: obj.update(classes=obj["classes"][:1], models=obj["models"][:1]),
+     "at least two classes, got ['longitudinal']"),
     (_keep_three_features, "feature_names differ"),
     (_keep_two_shapes, "2 shapes and 2 bins for 10 features"),
     (lambda obj: obj["models"][0].update(intercept=float("nan")), "non-finite number NaN"),
@@ -495,7 +497,7 @@ def _keep_two_shapes(obj):
      "non-finite number -Infinity"),
     (lambda obj: obj["models"][1]["bins"][2].reverse(), "not strictly ascending"),
 ], ids=["no-models", "repeated-class", "int-classes", "2-classes-3-models",
-        "3-classes-2-models", "3-of-10-features", "2-of-10-shapes", "nan-intercept",
+        "3-classes-2-models", "one-class", "3-of-10-features", "2-of-10-shapes", "nan-intercept",
         "inf-score", "reversed-cuts"])
 def test_evaluate_rejects_inconsistent_ensemble(small_model, small_table, tmp_path, capsys,
                                                 mutate, message):

@@ -10,6 +10,7 @@ from gaborboost.dataio import (
     FeatureRow,
     GrayImage,
     LabeledDataset,
+    _pgm_header_tokens,
     flip_horizontal,
     load_dataset,
     load_csv_image,
@@ -97,6 +98,20 @@ def test_load_pgm_errors(tmp_path):
         load_image(truncated)
 
 
+def test_pgm_header_tokens_carry_their_lines(tmp_path):
+    buf = b"P2# magic\n# whole line\n3 #glued\n\t1\r\n10\n0 5 10\n"
+    tokens, raster_at = _pgm_header_tokens(buf, "x.pgm")
+    assert tokens == [("P2", 1), ("3", 3), ("1", 4), ("10", 5)]
+    assert buf[raster_at:] == b"0 5 10\n"
+    path = tmp_path / "x.pgm"
+    path.write_bytes(buf.replace(b"10\n", b"1x\n", 1))
+    with pytest.raises(ParseError, match="line 5: bad header token '1x'"):
+        load_pgm(path)
+    path.write_bytes(b"P2\n# c\n3 1 # no newline")
+    with pytest.raises(ParseError, match="line 3: truncated PGM header"):
+        load_pgm(path)
+
+
 def test_load_csv_image_scales_by_max_abs(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")
@@ -132,6 +147,9 @@ def test_load_csv_image_skips_blank_lines(tmp_path):
 @settings(max_examples=200, deadline=None)
 @example(data=b"P2\n2 1\n255\n0 9\n")
 @example(data=b"0.5,\xff\n")
+@example(data=b"P2# comment after the magic\n2 1\n255\n0 9\n")
+@example(data=b"P5 2 2 # a comment with no newline")
+@example(data=b"P2\n2#glued\n1 255#\n0 9\n")
 @given(data=st.one_of(st.binary(max_size=64),
                       st.builds(bytes.__add__, st.sampled_from([b"P2\n", b"P5\n"]),
                                 st.binary(max_size=64))))
@@ -221,6 +239,38 @@ def test_load_dataset_sorted_by_filename(tmp_path):
 def test_load_dataset_requires_manifest(tmp_path):
     with pytest.raises(ParseError, match="labels.csv"):
         load_dataset(tmp_path)
+
+
+def test_manifest_and_table_skip_blank_lines(tmp_path):
+    (tmp_path / "a.pgm").write_bytes(b"P5\n1 1\n255\n" + bytes([20]))
+    (tmp_path / "labels.csv").write_text("filename,label\n \na.pgm,alpha\n\t\n")
+    assert load_dataset(tmp_path).names == ["a.pgm"]
+    table = tmp_path / "table.csv"
+    write_feature_table([make_row()], table)
+    header, row = table.read_text().splitlines()
+    table.write_text(f"{header}\n  \n\n{row}\n \n")
+    assert read_feature_table(table) == [make_row()]
+
+
+# A quoted field that spans two lines shifts every later record by one line.
+@pytest.mark.parametrize("name, text, message", [
+    ("img.csv", '1,2\n"3\n",4\n5\n', "ragged row at line 4"),
+    ("labels.csv", 'filename,label\n"a\nb.pgm",x\nc.pgm\n', "ragged row at line 4"),
+    ("labels.csv", 'filename,label\n"a\nb.pgm",x\nc.pgm,y\n\nc.pgm,z\n',
+     "'c.pgm' listed twice, at lines 4 and 6"),
+], ids=["image-ragged", "manifest-ragged", "manifest-repeated"])
+def test_csv_errors_name_physical_lines(tmp_path, name, text, message):
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_dataset(tmp_path) if name == "labels.csv" else load_image(tmp_path / name)
+
+
+def test_feature_table_errors_name_physical_lines(tmp_path):
+    path = tmp_path / "table.csv"
+    write_feature_table([make_row("a\nb.pgm"), make_row("img_001", q_tl=7.5)], path)
+    path.write_text(path.read_text().replace("7.5", "oops"))
+    with pytest.raises(ParseError, match="line 4: bad value 'oops' in q_tl"):
+        read_feature_table(path)
 
 
 def test_load_dataset_header_check(tmp_path):

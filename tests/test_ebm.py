@@ -92,7 +92,7 @@ def test_constant_features_give_an_empty_ranking():
         np.testing.assert_array_equal(shape.scores, 0.0)
     np.testing.assert_allclose(predict_proba(model, table), y.mean())
     # nothing contributes, so the importance ranking is empty
-    assert explain_global(_one_class(model))["per_class"]["pos"]["importances"] == []
+    assert explain_global(_two_class(model))["per_class"]["pos"]["importances"] == []
 
 
 def test_threshold_problem_separates_cleanly():
@@ -151,9 +151,10 @@ def test_predict_logit_matches_manual_lookup():
     assert np.array_equal(predict_logit(model, probe), logit)
 
 
-def _one_class(model):
-    """A saved model is always an ensemble; this one holds a single class."""
-    return OvrEnsemble(("pos",), [model])
+def _two_class(model):
+    """A saved model is an ensemble of at least two classes; this one's
+    two members are the same binary model."""
+    return OvrEnsemble(("neg", "pos"), [model, model])
 
 
 def _saved(ens, path):
@@ -210,8 +211,8 @@ SMALL_CONFIGS = st.builds(
 def test_row_order_does_not_change_the_model(tmp_path_factory, case, config):
     table, y, perm = case
     tmp = tmp_path_factory.mktemp("order")
-    ens_a = _one_class(train_binary(table, y, config))
-    ens_b = _one_class(train_binary(table[perm], y[perm], config))
+    ens_a = _two_class(train_binary(table, y, config))
+    ens_b = _two_class(train_binary(table[perm], y[perm], config))
     assert _saved(ens_a, tmp / "a.json") == _saved(ens_b, tmp / "b.json")
 
 
@@ -221,7 +222,7 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, case, config, n_clas
     table, _, perm = case
     labels = [f"c{k % n_classes}" for k in perm]
     tmp = tmp_path_factory.mktemp("resave")
-    for ens in (_one_class(train_binary(table, (perm % 2).astype(float), config)),
+    for ens in (_two_class(train_binary(table, (perm % 2).astype(float), config)),
                 train_ovr(table, labels, config)):
         first = _saved(ens, tmp / "first.json")
         assert _saved(load_model(tmp / "first.json"), tmp / "second.json") == first
@@ -274,7 +275,7 @@ def test_load_model_rejects_wrong_schema_version(tmp_path):
     y = (table[:, 0] > 0).astype(float)
     model = train_binary(table, y, FAST)
     path = tmp_path / "model.json"
-    save_model(_one_class(model), path)
+    save_model(_two_class(model), path)
     obj = json.loads(path.read_text())
     obj["schema_version"] = 99
     path.write_text(json.dumps(obj))
@@ -337,7 +338,7 @@ def test_explain_global_shapes_align_with_bins():
     table = rng.normal(size=(200, 2))
     y = (table[:, 0] > 0).astype(float)
     model = train_binary(table, y, TrainConfig(max_pairs=1, seed=0))
-    bundle = explain_global(_one_class(model))["per_class"]["pos"]
+    bundle = explain_global(_two_class(model))["per_class"]["pos"]
     for entry in bundle["shapes"]:
         assert len(entry["scores"]) == len(entry["cuts"]) + 2
     for entry in bundle["pairs"]:
