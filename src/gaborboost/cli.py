@@ -46,7 +46,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Gabor-transform tabular features and explainable boosted models",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    by_name: dict[str, argparse.ArgumentParser] = {}
 
     sp = subs.add_parser("generate", help="render a synthetic labeled dataset")
     sp.add_argument("--out", required=True, help="output directory")
@@ -57,7 +56,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--vortex", type=int, default=50)
     sp.add_argument("--noise", type=float, default=0.02)
     sp.add_argument("--seed", type=int, default=7)
-    by_name["generate"] = sp
+    sp.set_defaults(handler=_cmd_generate)
 
     sp = subs.add_parser("tabularize", help="extract a feature table from images")
     sp.add_argument("--data", required=True, help="directory with labels.csv")
@@ -69,26 +68,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="relabel a class before extraction (repeatable)")
     sp.add_argument("--flip", action="append", default=[], metavar="CLASS",
                     help="mirror images of a class horizontally (repeatable)")
-    by_name["tabularize"] = sp
+    sp.set_defaults(handler=_cmd_tabularize)
 
     sp = subs.add_parser("train", help="train a one-vs-rest model on a table")
     sp.add_argument("--table", required=True)
     sp.add_argument("--features", choices=sorted(harness.FEATURE_SETS), default="GF+EGF")
     sp.add_argument("--out", required=True, help="model JSON to write")
     _add_train_flags(sp)
-    by_name["train"] = sp
+    sp.set_defaults(handler=_cmd_train)
 
     sp = subs.add_parser("explain", help="dump global explanations of a model")
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True, help="explanation JSON to write")
     sp.add_argument("--svg-dir", help="also render SVG charts here")
-    by_name["explain"] = sp
+    sp.set_defaults(handler=_cmd_explain)
 
     sp = subs.add_parser("evaluate", help="score a trained model on a table")
     sp.add_argument("--model", required=True)
     sp.add_argument("--table", required=True)
     sp.add_argument("--out", help="metrics JSON to write")
-    by_name["evaluate"] = sp
+    sp.set_defaults(handler=_cmd_evaluate)
 
     sp = subs.add_parser("cv", help="repeated stratified k-fold cross-validation")
     sp.add_argument("--table", required=True)
@@ -97,11 +96,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--k", type=int, default=6)
     sp.add_argument("--out", help="report JSON to write")
     _add_train_flags(sp)
-    by_name["cv"] = sp
+    sp.set_defaults(handler=_cmd_cv)
 
-    for sp in by_name.values():
+    for sp in subs.choices.values():
         sp.add_argument("--config", help="key=value file with option defaults")
-    return parser, by_name
+    return parser, subs.choices
 
 
 _CONFIG_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -223,22 +222,12 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         harness.write_report(report, args.out)
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "tabularize": _cmd_tabularize,
-    "train": _cmd_train,
-    "explain": _cmd_explain,
-    "evaluate": _cmd_evaluate,
-    "cv": _cmd_cv,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, by_name = build_parser()
     try:
         args = parser.parse_args(_config_argv(argv, by_name))
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except (GaborboostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,6 +69,8 @@ class LabeledDataset:
 # In a PGM header a comment runs from '#' to the end of its line, and a
 # token is a run of bytes that are neither whitespace nor '#'.
 _PGM_LEXEME = re.compile(rb"#[^\n]*|[^ \t\r\n#]+")
+# A P2 raster holds no comments: every run of non-whitespace is a pixel.
+_P2_PIXEL = re.compile(r"\S+")
 
 
 def _pgm_header_tokens(buf: bytes, path):
@@ -115,15 +117,22 @@ def load_pgm(path: str | Path) -> GrayImage:
             raise ParseError(f"{path}: raster truncated ({len(raster)} bytes)")
         dtype = ">u2" if itemsize == 2 else np.uint8
         values = np.frombuffer(raster, dtype=dtype, count=count).astype(np.float64)
+        over = np.flatnonzero(values > maxval)
+        if over.size:
+            y, x = divmod(int(over[0]), width)
+            raise ParseError(f"{path}: pixel ({x}, {y}) is {int(values[over[0]])}, "
+                             f"above maxval {maxval}")
     else:
-        text = buf[raster_at - 1 :].decode("ascii", "replace")
-        parts = text.split()
-        if len(parts) < count:
-            raise ParseError(f"{path}: expected {count} pixels, found {len(parts)}")
-        try:
-            values = np.array([int(p) for p in parts[:count]], dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"{path}: non-integer pixel in P2 raster") from None
+        text = buf.decode("ascii", "replace")
+        pixels = list(_P2_PIXEL.finditer(text, raster_at - 1))
+        if len(pixels) < count:
+            raise ParseError(f"{path}: expected {count} pixels, found {len(pixels)}")
+        for pixel in pixels[:count]:
+            if not pixel[0].isdigit() or int(pixel[0]) > maxval:
+                line = text.count("\n", 0, pixel.start()) + 1
+                raise ParseError(f"{path}: line {line}: pixel {pixel[0]!r} "
+                                 f"is not an integer in 0..{maxval}")
+        values = np.array([int(p[0]) for p in pixels[:count]], dtype=np.float64)
     return GrayImage(values.reshape(height, width) / maxval)
 
 
@@ -131,7 +140,10 @@ def load_csv_image(path: str | Path) -> GrayImage:
     """Read a CSV matrix; values are scaled by the max absolute value."""
     path = Path(path)
     rows: list[list[float]] = []
-    for lineno, record in _csv_records(path):
+    for lineno, record in list(_csv_records(path)):  # a ragged row is reported first
+        for cell in record:  # float() would read a quoted "3\n" as 3.0
+            if "\n" in cell or "\r" in cell:
+                raise ParseError(f"{path}: line {lineno}: line break in value {cell!r}")
         try:
             values = [float(p) for p in record]
         except ValueError:

@@ -83,10 +83,6 @@ class GridResult:
     score: float
     evaluations: int
 
-    @property
-    def params(self) -> GaborParams:
-        return GaborParams(sigma_x=self.sigma_x, sigma_y=self.sigma_y, lam=self.lam)
-
 
 def _scan(
     img: GrayImage,
@@ -269,7 +265,7 @@ def extract_features(img: GrayImage, name: str, label: str) -> FeatureRow:
     grid = default_grid(img.width, img.height)
     flat = flatten_background(img)
     cell = two_step_optimize(flat, grid)
-    kernel = make_kernel(cell.params, dc_correct=True)
+    kernel = make_kernel(GaborParams(cell.sigma_x, cell.sigma_y, lam=cell.lam), dc_correct=True)
     field = convolve(flat, kernel)
     x_pix, y_pix = locate_center(field)
     iu = integral_image(field)

@@ -39,17 +39,9 @@ class GaborParams:
             raise ConfigError("lam must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ComplexKernel:
-    """Complex samples on [-half_width..half_width] x [-half_height..half_height]."""
-
-    values: np.ndarray  # complex128, shape (2*half_height+1, 2*half_width+1)
-    half_width: int
-    half_height: int
-
-
-def make_kernel(p: GaborParams, dc_correct: bool = False) -> ComplexKernel:
-    """Build the truncated kernel for ``p``.
+def make_kernel(p: GaborParams, dc_correct: bool = False) -> np.ndarray:
+    """The truncated kernel for ``p``: complex128 samples at offsets
+    [-hh..hh] x [-hw..hw], shape (2*hh+1, 2*hw+1), centre at [hh, hw].
 
     The support is cut at ceil(3 sigma) per axis. With ``dc_correct`` the
     mean of the real part over the support is subtracted, which removes the
@@ -65,7 +57,7 @@ def make_kernel(p: GaborParams, dc_correct: bool = False) -> ComplexKernel:
     values = norm * envelope * np.exp(1j * phase)
     if dc_correct:
         values = values - values.real.mean()
-    return ComplexKernel(values, hw, hh)
+    return values
 
 
 def _symmetric_map(n: int, pad: int) -> np.ndarray:
@@ -82,8 +74,9 @@ def _check_extent(kh: int, kw: int, img: GrayImage) -> None:
         )
 
 
-def _convolve_fft_valid(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """FFT convolution, 'valid' output size.
+def convolve(img: GrayImage, kernel: np.ndarray) -> np.ndarray:
+    """Same-size FFT convolution of ``img`` with the odd-sized ``kernel``;
+    borders use symmetric padding, as in ``ScoreBlock``.
 
     The steps and transform sizes are those of
     ``scipy.signal.fftconvolve(padded, kernel, mode="valid")`` for complex
@@ -91,21 +84,12 @@ def _convolve_fft_valid(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     ``scipy.signal`` would cost about a second of start-up.
     """
     kh, kw = kernel.shape
-    full = [n + k - 1 for n, k in zip(padded.shape, kernel.shape)]
-    fshape = [next_fast_len(n) for n in full]
-    spectrum = fftn(padded, fshape) * fftn(kernel, fshape)
-    out = ifftn(spectrum, fshape)
-    return out[kh - 1 : padded.shape[0], kw - 1 : padded.shape[1]].copy()
-
-
-def convolve(img: GrayImage, kernel: ComplexKernel) -> np.ndarray:
-    """Same-size FFT convolution of ``img`` with ``kernel``; borders use
-    symmetric padding, as in ``ScoreBlock``."""
-    kh, kw = kernel.values.shape
     _check_extent(kh, kw, img)
-    rows = _symmetric_map(img.height, kernel.half_height)
-    padded = img.data[rows][:, _symmetric_map(img.width, kernel.half_width)]
-    return _convolve_fft_valid(padded.astype(np.complex128), kernel.values)
+    rows = _symmetric_map(img.height, kh // 2)
+    padded = img.data[rows][:, _symmetric_map(img.width, kw // 2)].astype(np.complex128)
+    fshape = [next_fast_len(n + k - 1) for n, k in zip(padded.shape, kernel.shape)]
+    out = ifftn(fftn(padded, fshape) * fftn(kernel, fshape), fshape)
+    return out[kh - 1 : padded.shape[0], kw - 1 : padded.shape[1]].copy()
 
 
 # Margins of single-precision field norms (see ``ScoreBlock.single_norms``):

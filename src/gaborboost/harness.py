@@ -100,7 +100,8 @@ def matrix_from_names(
     """Feature matrix and labels for the given model-input names.
 
     Rows whose physics fit failed (NaN PF columns) are dropped when any
-    PF column is requested; the count of dropped rows is returned.
+    PF column is requested; the count of dropped rows is returned.  Any
+    other NaN or infinite value is a ConfigError naming its row and column.
     """
     uses_pf = any(n in PF_COLUMNS for n in names)
     if uses_pf and rows and not rows[0].has_pf:
@@ -114,6 +115,11 @@ def matrix_from_names(
         [[float(r.value(n)) for n in names] for r in kept],
         dtype=np.float64,
     ).reshape(len(kept), len(names))
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        r, c = bad[0]
+        raise ConfigError(f"row {kept[r].id!r}: non-finite value {matrix[r, c]} "
+                          f"in column {names[c]!r}")
     return matrix, [r.label for r in kept], dropped
 
 

@@ -60,8 +60,10 @@ def parallel_map(fn, items):
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a plain key=value file; '#' starts a comment, blanks ignored."""
+    """Parse a plain key=value file; '#' starts a comment, blanks ignored,
+    and a key may appear once."""
     result: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -79,5 +81,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         value = value.strip()
         if not value:
             raise ConfigError(f"{path}: line {lineno}: empty value for {key!r}")
+        if (first := lines.setdefault(key, lineno)) != lineno:
+            raise ConfigError(f"{path}: {key!r} set twice, at lines {first} and {lineno}")
         result[key] = value
     return result

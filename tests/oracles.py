@@ -14,25 +14,24 @@ import numpy as np
 
 from gaborboost.dataio import FeatureRow, GrayImage
 from gaborboost.features import GridResult
-from gaborboost.gabor import ComplexKernel, GaborParams, ScoreBlock, convolve, make_kernel
+from gaborboost.gabor import GaborParams, ScoreBlock, convolve, make_kernel
 
 
-def value_at(kernel: ComplexKernel, dx: int, dy: int) -> complex:
+def value_at(kernel: np.ndarray, dx: int, dy: int) -> complex:
     """Kernel sample at integer offset (dx right, dy down) from the center."""
-    return complex(kernel.values[dy + kernel.half_height, dx + kernel.half_width])
+    return complex(kernel[dy + kernel.shape[0] // 2, dx + kernel.shape[1] // 2])
 
 
-def convolve_direct(img: GrayImage, kernel: ComplexKernel) -> np.ndarray:
+def convolve_direct(img: GrayImage, kernel: np.ndarray) -> np.ndarray:
     """Same-size convolution by plain shift-and-accumulate over reflect
     padding: the naive reference for ``gabor.convolve``."""
-    kh, kw = kernel.values.shape
-    padded = np.pad(img.data, ((kernel.half_height,) * 2, (kernel.half_width,) * 2),
-                    mode="symmetric")
+    kh, kw = kernel.shape
+    padded = np.pad(img.data, ((kh // 2,) * 2, (kw // 2,) * 2), mode="symmetric")
     out_h, out_w = img.data.shape
     out = np.zeros((out_h, out_w), dtype=np.complex128)
     for r in range(kh):
         for c in range(kw):
-            w = kernel.values[r, c]
+            w = kernel[r, c]
             if w == 0:
                 continue
             out += w * padded[kh - 1 - r : kh - 1 - r + out_h, kw - 1 - c : kw - 1 - c + out_w]

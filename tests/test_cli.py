@@ -151,7 +151,7 @@ def test_required_options_can_come_from_config(tmp_path, monkeypatch, command, k
     cfg = tmp_path / "req.cfg"
     cfg.write_text("".join(f"{key} = {key}-from-file\n" for key in keys))
     seen = {}
-    monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.update(vars(args)))
+    monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: seen.update(vars(args)))
     assert main([command, "--config", str(cfg)]) == 0
     assert {key: seen[key] for key in keys} == {key: f"{key}-from-file" for key in keys}
 
@@ -203,6 +203,21 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     rc = main(["generate", "--out", str(tmp_path / "d"), "--config", str(cfg)])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, fragments", [
+    ("k = 3\nk = 4\n", ["'k' set twice", "lines 1 and 2"]),
+    ("merge = a=b\n# comment\nmerge = c=d\n", ["'merge' set twice", "lines 1 and 3"]),
+], ids=["k", "merge"])
+def test_config_repeated_key_reports_error(small_table, tmp_path, capsys, lines, fragments):
+    """A repeated key is an error, not a silent choice of its last value."""
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "report.json"
+    rc = main(["cv", "--table", str(small_table), "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert one_error_line(capsys, "cv.cfg", *fragments)
+    assert not out.exists()
 
 
 def test_tabularize_tiny_images_reports_error(tmp_path, capsys):
@@ -452,6 +467,51 @@ def test_evaluate_unknown_label_reports_error(small_model, small_table, tmp_path
     rc = main(["evaluate", "--model", str(small_model), "--table", str(table)])
     assert rc == 1
     assert one_error_line(capsys, "['mystery'] not covered by the model")
+
+
+@pytest.mark.parametrize("column, value", [("q_tl", float("nan")), ("q_tr", float("inf"))])
+def test_evaluate_rejects_non_finite_features(small_model, small_table, tmp_path, capsys,
+                                              column, value):
+    """A NaN or infinite model input is an error, not a prediction."""
+    rows = read_feature_table(small_table)
+    rows[4] = replace(rows[4], **{column: value})
+    table, scores = tmp_path / "bad.csv", tmp_path / "scores.json"
+    write_feature_table(rows, table)
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(small_model), "--table", str(table),
+               "--out", str(scores)])
+    assert rc == 1
+    assert one_error_line(capsys, "'longitudinal_4'", f"non-finite value {value}",
+                          f"column {column!r}")
+    assert not scores.exists()
+
+
+def test_train_rejects_non_finite_features(small_table, tmp_path, capsys):
+    rows = read_feature_table(small_table)
+    rows[12] = replace(rows[12], egf_tl_tr=float("-inf"))
+    write_feature_table(rows, small_table)
+    out = tmp_path / "model.json"
+    rc = main(["train", "--table", str(small_table), "--out", str(out), *FAST_TRAIN])
+    assert rc == 1
+    assert one_error_line(capsys, "row 'partial_2': non-finite value -inf in column 'egf_tl_tr'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, raw, message", [
+    ("img.pgm", b"P2\n2 2\n10\n0 1\n2 99\n", "line 5: pixel '99' is not an integer in 0..10"),
+    ("img.pgm", b"P5\n2 2\n100\n" + bytes([0, 1, 250, 3]), "pixel (0, 1) is 250, above maxval 100"),
+    ("img.csv", b'1,2\n"3\n",4\n', "line 2: line break in value '3\\n'"),
+], ids=["p2", "p5", "csv"])
+def test_tabularize_rejects_values_an_image_cannot_hold(tmp_path, capsys, name, raw, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "labels.csv").write_text(f"filename,label\n{name},vortex\n")
+    (data / name).write_bytes(raw)
+    out = tmp_path / "t.csv"
+    rc = main(["tabularize", "--data", str(data), "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys, name, message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -98,6 +98,20 @@ def test_load_pgm_errors(tmp_path):
         load_image(truncated)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"P2\n2 2\n10\n0 1\n2 99\n", "line 5: pixel '99' is not an integer in 0..10"),
+    (b"P2\n3 1\n10 0 -1\n5\n", "line 3: pixel '-1' is not an integer in 0..10"),
+    (b"P2\n2 1\n10\n0 x\n", "line 4: pixel 'x' is not an integer in 0..10"),
+    (b"P5\n2 2\n100\n" + bytes([0, 1, 250, 3]), r"pixel \(0, 1\) is 250, above maxval 100"),
+    (b"P5\n2 1\n1000\n" + bytes([0, 0, 3, 233]), r"pixel \(1, 0\) is 1001, above maxval 1000"),
+], ids=["p2-over", "p2-negative", "p2-word", "p5-8bit", "p5-16bit"])
+def test_load_pgm_rejects_pixels_outside_maxval(tmp_path, raw, message):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=f"over.pgm: {message}"):
+        load_pgm(path)
+
+
 def test_pgm_header_tokens_carry_their_lines(tmp_path):
     buf = b"P2# magic\n# whole line\n3 #glued\n\t1\r\n10\n0 5 10\n"
     tokens, raster_at = _pgm_header_tokens(buf, "x.pgm")
@@ -136,6 +150,23 @@ def test_load_csv_image_bad_values(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ParseError, match=message):
         load_image(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('1,2\n"3\n",4\n', r"m.csv: line 2: line break in value '3\\n'"),
+    ('1,2\n3,"\r4"\n', r"m.csv: line 2: line break in value '\\r4'"),
+], ids=["lf", "cr"])
+def test_load_csv_image_rejects_line_breaks_in_values(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(ParseError, match=message):
+        load_csv_image(path)
+
+
+def test_load_csv_image_allows_spaces_around_values(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1, 2\n 3 ,4\t\n")
+    np.testing.assert_allclose(load_image(path).data, [[0.25, 0.5], [0.75, 1.0]])
 
 
 def test_load_csv_image_skips_blank_lines(tmp_path):
