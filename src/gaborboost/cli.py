@@ -8,7 +8,8 @@ exit code 2 for unknown flags and bad values.
 ``--config FILE`` reads ``key = value`` lines whose keys are the long
 flags, required ones included. Each value is parsed as its flag would
 be, so a bad one is argparse's usage error; unknown keys, mistyped
-booleans and empty values are errors naming the file.
+booleans, empty values and a flag set by two spellings of its key
+(``max-rounds`` and ``max_rounds``) are errors naming the file.
 """
 
 from __future__ import annotations
@@ -122,13 +123,16 @@ def _config_argv(argv: list[str], by_name: dict[str, argparse.ArgumentParser]) -
     if not path:
         return argv
     actions = {a.dest: a for a in by_name[argv[0]]._actions}
-    flags = []
+    flags, keys = [], {}
     for key, raw in parse_config_file(path).items():
         dest = key.replace("-", "_")
         if dest not in actions or dest in ("help", "config"):
             raise ConfigError(f"{path}: unknown config key {key!r}")
         action = actions[dest]
         flag = action.option_strings[0]
+        # parse_config_file sees two keys; argparse would keep the later one.
+        if (first := keys.setdefault(dest, key)) != key:
+            raise ConfigError(f"{path}: {first!r} and {key!r} both set {flag}")
         if action.nargs == 0:
             word = raw.lower()
             if word not in _CONFIG_BOOLS:

@@ -145,7 +145,7 @@ def load_csv_image(path: str | Path) -> GrayImage:
             if "\n" in cell or "\r" in cell:
                 raise ParseError(f"{path}: line {lineno}: line break in value {cell!r}")
         try:
-            values = [float(p) for p in record]
+            values = [_plain_float(p) for p in record]
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
         for v in values:
@@ -178,6 +178,14 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
     quantized = np.round(arr * 65535.0).astype(">u2")
     header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
     Path(path).write_bytes(header + quantized.tobytes())
+
+
+def _plain_float(cell: str) -> float:
+    """The number a CSV cell holds; a ValueError, as from float(), for a cell
+    with digit-group underscores, which float() would read ("1_0" as 10.0)."""
+    if "_" in cell:
+        raise ValueError(f"underscore in number {cell!r}")
+    return float(cell)
 
 
 def _csv_records(path: Path, keyed: bool = False) -> Iterator[tuple[int, list[str]]]:
@@ -383,7 +391,7 @@ def read_feature_table(path: str | Path) -> list[FeatureRow]:
                 kwargs[attr] = cell
             else:
                 try:
-                    kwargs[attr] = float(cell)
+                    kwargs[attr] = _plain_float(cell)
                 except ValueError:
                     raise ParseError(
                         f"{path}: line {lineno}: bad value {cell!r} in {col}"

@@ -1,8 +1,10 @@
 """Reference helpers that only the tests use.
 
 Most check the library by independent or naive routes; ``block_scores``
-is a shorthand for a library call that only tests make.  They are kept
-out of the package's public API.
+is a shorthand for a library call that only tests make, and
+``boost_terms_reference`` is the boosting loop as it was before it
+worked in place, which the library must match bit for bit.  They are
+kept out of the package's public API.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import fields
 import numpy as np
 
 from gaborboost.dataio import FeatureRow, GrayImage
+from gaborboost.ebm import Term, TrainConfig
 from gaborboost.features import GridResult
 from gaborboost.gabor import GaborParams, ScoreBlock, convolve, make_kernel
 
@@ -95,3 +98,73 @@ def rows_close(a: FeatureRow, b: FeatureRow, tol: float = 1e-12) -> bool:
         if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
             return False
     return True
+
+
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    # exp(-|z|) never overflows; both branches are the textbook stable forms.
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def log_loss_reference(y: np.ndarray, logit: np.ndarray, w: np.ndarray) -> float:
+    # log(1 + exp(-s)) written stably for either sign of s.
+    s = np.where(y > 0.5, logit, -logit)
+    loss = np.logaddexp(0.0, -s)
+    return float((w * loss).sum() / w.sum())
+
+
+def boost_terms_reference(
+    terms: list[Term],
+    table: np.ndarray,
+    logit: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    n_train: int,
+    cfg: TrainConfig,
+) -> np.ndarray:
+    """Cyclic boosting of ``terms`` on top of ``logit`` with early stopping,
+    one fresh array per step: the reference for ``ebm._boost_terms``.
+
+    Rows ``[:n_train]`` train and the rest validate; with no validation
+    rows the loss is read on the training rows.  ``logit`` is updated in
+    place, each term's scores are replaced by their best-validation-loss
+    snapshot, and the matching logit vector is returned.
+    """
+    # What a term needs that no round changes (its rows' bins, the
+    # per-bin training weight) is computed once per stage.
+    y_train, w_train, logit_train = y[:n_train], w[:n_train], logit[:n_train]
+    prepared = []
+    for term in terms:
+        bins = term.bin_index(table)
+        bin_w = np.bincount(bins[:n_train], weights=w_train, minlength=term.scores.size)
+        # An empty bin sums no residuals, so dividing its 0 by 1 updates it by 0.
+        bin_w[bin_w <= 0] = 1.0
+        prepared.append((bins, bins[:n_train], term.scores.size, bin_w))
+    loss_rows = slice(n_train if n_train < len(y) else 0, None)
+    y_loss, w_loss, logit_loss = y[loss_rows], w[loss_rows], logit[loss_rows]
+
+    scores = [term.scores.ravel().copy() for term in terms]
+    best_loss = log_loss_reference(y_loss, logit_loss, w_loss)
+    best_scores = [s.copy() for s in scores]
+    best_logit = logit.copy()
+    best_round = 0
+
+    for round_no in range(1, cfg.max_rounds + 1):
+        for (bins, bins_train, n_bins, bin_w), score in zip(prepared, scores):
+            residual = y_train - sigmoid_reference(logit_train)
+            bin_wr = np.bincount(bins_train, weights=w_train * residual, minlength=n_bins)
+            update = cfg.learning_rate * bin_wr / bin_w
+            score += update
+            logit += update[bins]
+        loss = log_loss_reference(y_loss, logit_loss, w_loss)
+        if loss < best_loss:
+            best_loss = loss
+            best_scores = [s.copy() for s in scores]
+            best_logit = logit.copy()
+            best_round = round_no
+        elif round_no - best_round >= cfg.patience:
+            break
+    for term, best in zip(terms, best_scores):
+        term.scores = best.reshape(term.scores.shape)
+    return best_logit

@@ -220,6 +220,18 @@ def test_config_repeated_key_reports_error(small_table, tmp_path, capsys, lines,
     assert not out.exists()
 
 
+def test_config_key_set_by_both_spellings_reports_error(small_table, tmp_path, capsys):
+    """``-`` and ``_`` spell one key; setting it both ways is an error, not
+    a silent choice of the later line."""
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text("max-rounds = 3\nmax_rounds = 4\n")
+    out = tmp_path / "report.json"
+    rc = main(["cv", "--table", str(small_table), "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert one_error_line(capsys, "cv.cfg", "'max-rounds' and 'max_rounds' both set --max-rounds")
+    assert not out.exists()
+
+
 def test_tabularize_tiny_images_reports_error(tmp_path, capsys):
     assert main(["generate", "--out", str(tmp_path), "--width", "6", "--height", "6",
                  "--longitudinal", "2", "--partial", "1", "--vortex", "1"]) == 0

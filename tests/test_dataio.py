@@ -144,6 +144,7 @@ def test_load_csv_image_ragged_row(tmp_path):
     ("1,2\n3,x\n", "line 2: non-numeric value"),
     ("1,2\n\n3,inf\n", "line 3: non-finite value inf"),
     ("", "empty CSV image"),
+    ("1,2\n1_0,4\n", "line 2: non-numeric value"),  # float() would read 10.0
 ])
 def test_load_csv_image_bad_values(tmp_path, text, message):
     path = tmp_path / "m.csv"
@@ -301,6 +302,15 @@ def test_feature_table_errors_name_physical_lines(tmp_path):
     write_feature_table([make_row("a\nb.pgm"), make_row("img_001", q_tl=7.5)], path)
     path.write_text(path.read_text().replace("7.5", "oops"))
     with pytest.raises(ParseError, match="line 4: bad value 'oops' in q_tl"):
+        read_feature_table(path)
+
+
+def test_feature_table_rejects_digit_group_underscores(tmp_path):
+    """float() reads "1_2" as 12.0; a table cell must be a plain number."""
+    path = tmp_path / "table.csv"
+    write_feature_table([make_row("img_001", q_tl=7.5)], path)
+    path.write_text(path.read_text().replace("7.5", "1_2"))
+    with pytest.raises(ParseError, match="line 2: bad value '1_2' in q_tl"):
         read_feature_table(path)
 
 

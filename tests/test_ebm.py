@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gaborboost import ebm
 from gaborboost.ebm import (
     EbmModel,
     OvrEnsemble,
@@ -30,6 +32,7 @@ from gaborboost.ebm import (
     train_ovr,
 )
 from gaborboost.errors import ConfigError, ModelFormatError
+from oracles import boost_terms_reference, log_loss_reference, sigmoid_reference
 
 FAST = TrainConfig(max_rounds=300, patience=20, max_pairs=0, seed=0)
 
@@ -226,6 +229,75 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, case, config, n_clas
                 train_ovr(table, labels, config)):
         first = _saved(ens, tmp / "first.json")
         assert _saved(load_model(tmp / "first.json"), tmp / "second.json") == first
+
+
+@st.composite
+def boosting_cases(draw):
+    """A table of 20 to 80 rows and 2 to 5 features whose values repeat, so
+    bins tie, with labels of both classes; exactly balanced classes give
+    every row weight 1.0 under ``balance``."""
+    balanced = draw(st.booleans())
+    n = 2 * draw(st.integers(10, 40)) if balanced else draw(st.integers(20, 80))
+    d = draw(st.integers(2, 5))
+    pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6)) + [-0.0, 0.0]
+    table = draw(arrays(np.float64, (n, d), elements=st.sampled_from(pool)))
+    if balanced:
+        y = np.tile([0.0, 1.0], n // 2)
+    else:
+        y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+        y[:2] = (0.0, 1.0)
+    return table, y
+
+
+BOOST_CONFIGS = st.builds(
+    TrainConfig,
+    learning_rate=st.sampled_from([0.05, 0.5]),
+    max_rounds=st.integers(1, 25),
+    patience=st.integers(1, 5),
+    val_fraction=st.sampled_from([0.0, 0.2]),
+    max_pairs=st.sampled_from([0, 3]),
+    max_bins=st.sampled_from([4, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    balance=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=boosting_cases(), config=BOOST_CONFIGS)
+def test_boosting_is_bitwise_the_reference_loop(tmp_path_factory, case, config):
+    """The in-place loop makes the same model and logits, to the bit, as the
+    loop on fresh arrays that it replaced (and its sigmoid, which pair
+    screening also reads)."""
+    table, y = case
+    tmp = tmp_path_factory.mktemp("boost")
+
+    def train(boost, sigmoid, path):
+        logits = []
+
+        def recording(*args):
+            logit = boost(*args)
+            logits.append(logit.copy())
+            return logit
+
+        with mock.patch.object(ebm, "_boost_terms", recording), \
+                mock.patch.object(ebm, "_sigmoid", sigmoid):
+            model = train_binary(table, y, config)
+        return _saved(_two_class(model), path), logits
+
+    saved, logits = train(ebm._boost_terms, ebm._sigmoid, tmp / "library.json")
+    saved_ref, logits_ref = train(boost_terms_reference, sigmoid_reference, tmp / "ref.json")
+    assert saved == saved_ref
+    assert len(logits) == len(logits_ref) == (2 if config.max_pairs else 1)
+    assert all((a == b).all() for a, b in zip(logits, logits_ref))
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.one_of(st.floats(-800.0, 800.0), st.floats(-40.0, 40.0))),
+    arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])),
+    st.one_of(st.just(np.ones(n)), arrays(np.float64, n, elements=st.floats(0.1, 10.0))))))
+def test_log_loss_is_bitwise_the_reference(case):
+    logit, y, w = case
+    assert _log_loss(y, logit, w) == log_loss_reference(y, logit, w)
 
 
 def test_validation_loss_beats_intercept_alone():
