@@ -8,8 +8,10 @@ exit code 2 for unknown flags and bad values.
 ``--config FILE`` reads ``key = value`` lines whose keys are the long
 flags, required ones included. Each value is parsed as its flag would
 be, so a bad one is argparse's usage error; unknown keys, mistyped
-booleans, empty values and a flag set by two spellings of its key
-(``max-rounds`` and ``max_rounds``) are errors naming the file.
+booleans, empty values and a flag set twice, under one spelling of its
+key or both (``max-rounds`` and ``max_rounds``), are errors naming the
+file. Numbers, in flags and config values alike, are plain ASCII
+(``dataio.plain_number``).
 """
 
 from __future__ import annotations
@@ -21,10 +23,18 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import dataio, ebm, harness, render, synthgen
-from .errors import ConfigError, GaborboostError
+from .errors import ConfigError, GaborboostError, ParseError
 from .features import tabularize
 from .physfit import fit_rows
-from .util import parse_config_file
+
+
+def _number(kind: type):
+    """An argparse type reading ``kind`` by the CSV cells' rule, named after
+    ``kind`` so that a bad value is argparse's "invalid int value" error."""
+    def parse(text: str) -> int | float:
+        return dataio.plain_number(text, kind)
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _add_train_flags(sp: argparse.ArgumentParser) -> None:
@@ -34,7 +44,7 @@ def _add_train_flags(sp: argparse.ArgumentParser) -> None:
         if isinstance(f.default, bool):
             sp.add_argument(flag, action="store_true", default=f.default, help=help_text)
         else:
-            sp.add_argument(flag, type=type(f.default), default=f.default, help=help_text)
+            sp.add_argument(flag, type=_number(type(f.default)), default=f.default, help=help_text)
 
 
 def _train_config(args: argparse.Namespace) -> ebm.TrainConfig:
@@ -50,13 +60,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = subs.add_parser("generate", help="render a synthetic labeled dataset")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--width", type=int, default=128)
-    sp.add_argument("--height", type=int, default=64)
-    sp.add_argument("--longitudinal", type=int, default=400)
-    sp.add_argument("--partial", type=int, default=150)
-    sp.add_argument("--vortex", type=int, default=50)
-    sp.add_argument("--noise", type=float, default=0.02)
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--width", type=_number(int), default=128)
+    sp.add_argument("--height", type=_number(int), default=64)
+    sp.add_argument("--longitudinal", type=_number(int), default=400)
+    sp.add_argument("--partial", type=_number(int), default=150)
+    sp.add_argument("--vortex", type=_number(int), default=50)
+    sp.add_argument("--noise", type=_number(float), default=0.02)
+    sp.add_argument("--seed", type=_number(int), default=7)
     sp.set_defaults(handler=_cmd_generate)
 
     sp = subs.add_parser("tabularize", help="extract a feature table from images")
@@ -93,8 +103,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = subs.add_parser("cv", help="repeated stratified k-fold cross-validation")
     sp.add_argument("--table", required=True)
     sp.add_argument("--features", choices=sorted(harness.FEATURE_SETS), default="GF+EGF")
-    sp.add_argument("--repeats", type=int, default=5)
-    sp.add_argument("--k", type=int, default=6)
+    sp.add_argument("--repeats", type=_number(int), default=5)
+    sp.add_argument("--k", type=_number(int), default=6)
     sp.add_argument("--out", help="report JSON to write")
     _add_train_flags(sp)
     sp.set_defaults(handler=_cmd_cv)
@@ -111,6 +121,8 @@ _CONFIG_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 def _config_argv(argv: list[str], by_name: dict[str, argparse.ArgumentParser]) -> list[str]:
     """argv with the --config file's ``key = value`` pairs spliced in as flags.
 
+    A flag is set once per file, under either spelling of its key; the
+    whole file is checked for that before any key is matched to a flag.
     The flags go right after the subcommand name, so explicit flags, which
     come later, still win; a repeatable flag (``--merge``, ``--flip``) adds
     to the config's list instead. Each value is then parsed as its flag.
@@ -122,17 +134,35 @@ def _config_argv(argv: list[str], by_name: dict[str, argparse.ArgumentParser]) -
     path = pre.parse_known_args(argv[1:])[0].config
     if not path:
         return argv
-    actions = {a.dest: a for a in by_name[argv[0]]._actions}
-    flags, keys = [], {}
-    for key, raw in parse_config_file(path).items():
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc}") from None
+    first = {}  # dest -> the (key, line, value) that sets it
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if not key:
+            raise ConfigError(f"{path}: line {lineno}: empty key")
+        if not raw:
+            raise ConfigError(f"{path}: line {lineno}: empty value for {key!r}")
         dest = key.replace("-", "_")
+        seen, at, _ = first.setdefault(dest, (key, lineno, raw))
+        if at != lineno:
+            if seen == key:
+                raise ConfigError(f"{path}: {key!r} set twice, at lines {at} and {lineno}")
+            raise ConfigError(f"{path}: {seen!r} and {key!r} both set --{dest.replace('_', '-')}")
+    actions = {a.dest: a for a in by_name[argv[0]]._actions}
+    flags = []
+    for dest, (key, _, raw) in first.items():
         if dest not in actions or dest in ("help", "config"):
             raise ConfigError(f"{path}: unknown config key {key!r}")
         action = actions[dest]
         flag = action.option_strings[0]
-        # parse_config_file sees two keys; argparse would keep the later one.
-        if (first := keys.setdefault(dest, key)) != key:
-            raise ConfigError(f"{path}: {first!r} and {key!r} both set {flag}")
         if action.nargs == 0:
             word = raw.lower()
             if word not in _CONFIG_BOOLS:

@@ -97,13 +97,10 @@ def load_pgm(path: str | Path) -> GrayImage:
     if magic not in ("P2", "P5"):
         raise ParseError(f"{path}: line 1: not a PGM file (magic {magic!r})")
     tokens, raster_at = _pgm_header_tokens(buf, path)
-    try:
-        width = int(tokens[1][0])
-        height = int(tokens[2][0])
-        maxval = int(tokens[3][0])
-    except ValueError:
-        bad = next(t for t in tokens[1:] if not t[0].isdigit())
-        raise ParseError(f"{path}: line {bad[1]}: bad header token {bad[0]!r}") from None
+    for token, line in tokens[1:]:  # int() would also read "+4" and "2_55"
+        if not token.isdigit():
+            raise ParseError(f"{path}: line {line}: bad header token {token!r}")
+    width, height, maxval = (int(token) for token, _ in tokens[1:])
     if width <= 0 or height <= 0:
         raise ParseError(f"{path}: non-positive dimensions {width}x{height}")
     if not 0 < maxval < 65536:
@@ -145,7 +142,7 @@ def load_csv_image(path: str | Path) -> GrayImage:
             if "\n" in cell or "\r" in cell:
                 raise ParseError(f"{path}: line {lineno}: line break in value {cell!r}")
         try:
-            values = [_plain_float(p) for p in record]
+            values = [plain_number(p) for p in record]
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
         for v in values:
@@ -180,12 +177,13 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
     Path(path).write_bytes(header + quantized.tobytes())
 
 
-def _plain_float(cell: str) -> float:
-    """The number a CSV cell holds; a ValueError, as from float(), for a cell
-    with digit-group underscores, which float() would read ("1_0" as 10.0)."""
-    if "_" in cell:
-        raise ValueError(f"underscore in number {cell!r}")
-    return float(cell)
+def plain_number(text: str, kind: type = float) -> int | float:
+    """``kind(text)``, kind being float or int, for a CSV cell or a numeric flag;
+    a ValueError, as from ``kind``, for text with digit-group underscores or
+    non-ASCII characters such as Arabic-Indic digits, which ``kind`` reads."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
 
 
 def _csv_records(path: Path, keyed: bool = False) -> Iterator[tuple[int, list[str]]]:
@@ -391,7 +389,7 @@ def read_feature_table(path: str | Path) -> list[FeatureRow]:
                 kwargs[attr] = cell
             else:
                 try:
-                    kwargs[attr] = _plain_float(cell)
+                    kwargs[attr] = plain_number(cell)
                 except ValueError:
                     raise ParseError(
                         f"{path}: line {lineno}: bad value {cell!r} in {col}"

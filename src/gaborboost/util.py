@@ -1,15 +1,12 @@
-"""Small shared helpers: a running median, serial and threaded maps, key=value config files."""
+"""Small shared helpers: a running median, serial and threaded maps."""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .errors import ConfigError, ParseError
 
 THREADS_ENV = "GABORBOOST_THREADS"
 
@@ -57,31 +54,3 @@ def parallel_map(fn, items):
         return serial_map(fn, items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a plain key=value file; '#' starts a comment, blanks ignored,
-    and a key may appear once."""
-    result: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not a text file: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}: line {lineno}: expected key=value")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"{path}: line {lineno}: empty key")
-        value = value.strip()
-        if not value:
-            raise ConfigError(f"{path}: line {lineno}: empty value for {key!r}")
-        if (first := lines.setdefault(key, lineno)) != lineno:
-            raise ConfigError(f"{path}: {key!r} set twice, at lines {first} and {lineno}")
-        result[key] = value
-    return result

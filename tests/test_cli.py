@@ -13,6 +13,7 @@ import gaborboost
 from gaborboost import cli, ebm
 from gaborboost.cli import _config_argv, _train_config, build_parser, main
 from gaborboost.dataio import FeatureRow, load_dataset, read_feature_table, write_feature_table
+from gaborboost.errors import ConfigError
 from gaborboost.features import tabularize
 from gaborboost.physfit import fit_image, fit_rows
 
@@ -159,6 +160,7 @@ def test_required_options_can_come_from_config(tmp_path, monkeypatch, command, k
 @pytest.mark.parametrize("line, message", [
     ("k = abc", "argument --k: invalid int value: 'abc'"),
     ("features = GF+XYZ", "argument --features: invalid choice: 'GF+XYZ'"),
+    ("learning-rate = 0_5", "argument --learning-rate: invalid float value: '0_5'"),
 ])
 def test_config_bad_value_is_the_flags_usage_error(tmp_path, capsys, line, message):
     """A value in the file is parsed as the same flag on the command line."""
@@ -230,6 +232,80 @@ def test_config_key_set_by_both_spellings_reports_error(small_table, tmp_path, c
     assert rc == 1
     assert one_error_line(capsys, "cv.cfg", "'max-rounds' and 'max_rounds' both set --max-rounds")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("window-size = 9\nmax-rounds = 3\nmax_rounds = 4\n",
+     "'max-rounds' and 'max_rounds' both set --max-rounds"),
+    ("balance = ture\nmax-rounds = 3\nmax_rounds = 4\n",
+     "'max-rounds' and 'max_rounds' both set --max-rounds"),
+    ("with-physics = 1\nwith_physics = 0\n",
+     "'with-physics' and 'with_physics' both set --with-physics"),
+], ids=["after-unknown-key", "after-bad-boolean", "flag-cv-lacks"])
+def test_config_flag_set_twice_is_reported_before_key_errors(tmp_path, capsys, lines, message):
+    """The whole file is checked for a flag set twice, under one spelling or
+    two, before any key is matched to the subcommand's flags."""
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(lines)
+    rc = main(["cv", "--table", str(tmp_path / "t.csv"), "--config", str(cfg)])
+    assert rc == 1
+    assert one_error_line(capsys, "cv.cfg", message)
+
+
+def test_config_file_is_read(tmp_path):
+    """Comments and blank lines are skipped, spaces around keys and values
+    dropped, and the pairs spliced in as flags in file order."""
+    path = tmp_path / "run.conf"
+    path.write_text(
+        "# comment line\n"
+        "seed = 7\n"
+        "\n"
+        "features=GF+EGF  # trailing comment\n"
+    )
+    argv = ["cv", "--table", "t.csv", "--config", str(path)]
+    expected = ["cv", "--seed=7", "--features=GF+EGF", *argv[1:]]
+    assert _config_argv(argv, build_parser()[1]) == expected
+
+
+def test_config_file_rejects_bare_words(tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_text("seed 7\n")
+    with pytest.raises(ConfigError, match="line 1"):
+        _config_argv(["cv", "--config", str(path)], build_parser()[1])
+
+
+def test_config_file_rejects_empty_key(tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_text("=3\n")
+    with pytest.raises(ConfigError, match="empty key"):
+        _config_argv(["cv", "--config", str(path)], build_parser()[1])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cv", "--table", "t.csv", "--learning-rate", "0_5"],
+     "argument --learning-rate: invalid float value: '0_5'"),
+    (["cv", "--table", "t.csv", "--max-rounds", "1_0"],
+     "argument --max-rounds: invalid int value: '1_0'"),
+    (["cv", "--table", "t.csv", "--k", "\u0663"], "argument --k: invalid int value: '\u0663'"),
+    (["generate", "--out", "d", "--width", "1_28"], "argument --width: invalid int value: '1_28'"),
+    (["generate", "--out", "d", "--noise", "\u0660.5"],
+     "argument --noise: invalid float value: '\u0660.5'"),
+], ids=["float-underscore", "int-underscore", "int-arabic-indic", "generate-underscore",
+        "generate-arabic-indic"])
+def test_numeric_flags_read_plain_numbers_only(capsys, argv, message):
+    """int() and float() read "1_0" as 10 and Arabic-Indic digits as digits;
+    a numeric flag takes the plain ASCII numbers a CSV cell takes."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_numeric_flags_still_read_spaced_and_special_numbers():
+    parser, _ = build_parser()
+    args = parser.parse_args(["cv", "--table", "t.csv", "--k", " 3 ", "--learning-rate", "1e-1"])
+    assert (args.k, args.learning_rate) == (3, 0.1)
+    assert parser.parse_args(["generate", "--out", "d", "--noise", "inf"]).noise == float("inf")
 
 
 def test_tabularize_tiny_images_reports_error(tmp_path, capsys):
@@ -513,7 +589,11 @@ def test_train_rejects_non_finite_features(small_table, tmp_path, capsys):
     ("img.pgm", b"P2\n2 2\n10\n0 1\n2 99\n", "line 5: pixel '99' is not an integer in 0..10"),
     ("img.pgm", b"P5\n2 2\n100\n" + bytes([0, 1, 250, 3]), "pixel (0, 1) is 250, above maxval 100"),
     ("img.csv", b'1,2\n"3\n",4\n', "line 2: line break in value '3\\n'"),
-], ids=["p2", "p5", "csv"])
+    ("img.pgm", b"P5\n0 2\n255\n", "non-positive dimensions 0x2"),
+    ("img.pgm", b"P5\n2 2\n0\n" + bytes(4), "maxval 0 out of range"),
+    ("img.pgm", b"P5\n2 2\n65536\n" + bytes(8), "maxval 65536 out of range"),
+    ("img.pgm", b"P2\n2 2\n10\n0 1\n2\n", "expected 4 pixels, found 3"),
+], ids=["p2", "p5", "csv", "zero-width", "maxval-0", "maxval-65536", "p2-short"])
 def test_tabularize_rejects_values_an_image_cannot_hold(tmp_path, capsys, name, raw, message):
     data = tmp_path / "data"
     data.mkdir()
@@ -525,6 +605,30 @@ def test_tabularize_rejects_values_an_image_cannot_hold(tmp_path, capsys, name, 
     assert one_error_line(capsys, name, message)
     assert not out.exists()
 
+
+def test_tabularize_merge_without_equals_reports_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "labels.csv").write_text("filename,label\nimg.pgm,vortex\n")
+    (data / "img.pgm").write_bytes(b"P2\n2 1\n10\n0 5\n")
+    out = tmp_path / "t.csv"
+    rc = main(["tabularize", "--data", str(data), "--out", str(out), "--merge", "a"])
+    assert rc == 1
+    assert one_error_line(capsys, "--merge expects OLD=NEW, got 'a'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: "", "empty feature table"),
+    (lambda text: text.replace("q_tl,q_tr", "q_tr,q_tl", 1), "header mismatch"),
+], ids=["0-byte", "columns-reordered"])
+def test_cv_rejects_malformed_table(small_table, tmp_path, capsys, edit, message):
+    small_table.write_text(edit(small_table.read_text()))
+    out = tmp_path / "report.json"
+    rc = main(["cv", "--table", str(small_table), "--out", str(out), *FAST_TRAIN])
+    assert rc == 1
+    assert one_error_line(capsys, small_table.name, message)
+    assert not out.exists()
 
 @pytest.mark.parametrize("key, value, message", [
     ("feature", 99, "feature index 99 out of range"),
@@ -584,6 +688,17 @@ def test_evaluate_rejects_inconsistent_ensemble(small_model, small_table, tmp_pa
     assert one_error_line(capsys, message)
     assert not out.exists()
 
+
+def test_explain_rejects_member_without_intercept(small_model, tmp_path, capsys):
+    obj = json.loads(small_model.read_text())
+    del obj["models"][1]["intercept"]
+    small_model.write_text(json.dumps(obj))
+    out = tmp_path / "explain.json"
+    capsys.readouterr()
+    rc = main(["explain", "--model", str(small_model), "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys, "malformed model object: 'intercept'")
+    assert not out.exists()
 
 @pytest.mark.parametrize("flags", [["--merge", "vortx=partial"], ["--flip", "vortx"]])
 def test_tabularize_rejects_unknown_class(small_images, tmp_path, capsys, flags):

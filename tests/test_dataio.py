@@ -126,6 +126,17 @@ def test_pgm_header_tokens_carry_their_lines(tmp_path):
         load_pgm(path)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"P5\n+4 2\n255\n" + bytes(8), "line 2: bad header token '\\+4'"),
+    (b"P5\n4 2\n2_55\n" + bytes(8), "line 3: bad header token '2_55'"),
+], ids=["signed-width", "underscored-maxval"])
+def test_pgm_header_fields_are_ascii_digits(tmp_path, raw, message):
+    """int() would read "+4" as 4 and "2_55" as 255."""
+    path = tmp_path / "x.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=f"x.pgm: {message}"):
+        load_pgm(path)
+
 def test_load_csv_image_scales_by_max_abs(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")
@@ -145,6 +156,7 @@ def test_load_csv_image_ragged_row(tmp_path):
     ("1,2\n\n3,inf\n", "line 3: non-finite value inf"),
     ("", "empty CSV image"),
     ("1,2\n1_0,4\n", "line 2: non-numeric value"),  # float() would read 10.0
+    ("1,2\n\u0662,4\n", "line 2: non-numeric value"),  # float() would read 2.0
 ])
 def test_load_csv_image_bad_values(tmp_path, text, message):
     path = tmp_path / "m.csv"
@@ -311,6 +323,14 @@ def test_feature_table_rejects_digit_group_underscores(tmp_path):
     write_feature_table([make_row("img_001", q_tl=7.5)], path)
     path.write_text(path.read_text().replace("7.5", "1_2"))
     with pytest.raises(ParseError, match="line 2: bad value '1_2' in q_tl"):
+        read_feature_table(path)
+
+
+def test_feature_table_rejects_non_ascii_digits(tmp_path):
+    path = tmp_path / "table.csv"
+    write_feature_table([make_row("img_001", q_tl=7.5)], path)
+    path.write_text(path.read_text().replace("7.5", "\u0667.\u0665"))
+    with pytest.raises(ParseError, match="line 2: bad value '\u0667.\u0665' in q_tl"):
         read_feature_table(path)
 
 

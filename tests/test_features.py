@@ -266,6 +266,29 @@ def test_search_matches_float64_scan(case):
     assert 1 <= full_rescored <= grid.size
 
 
+def test_search_rescores_every_cell_when_a_single_score_is_not_finite(monkeypatch):
+    """A NaN single-precision score gives no floor to prune by, so every
+    cell is scored in float64, and the float64 scan's cell still wins."""
+    img = gabor_packet(64, 32, 30.0, 16.0, 4.0, 3.0, 0.8)
+    grid = default_grid(64, 32)
+    single, norms = gabor.ScoreBlock.single_norms, gabor.ScoreBlock.norms
+    rescored = []
+
+    def nan_first(block):
+        scores, margins = single(block)
+        scores[0, 0] = np.nan
+        return scores, margins
+
+    def counted(block, rows, cols):
+        rescored.append(len(rows) * len(cols))
+        return norms(block, rows, cols)
+
+    expected = scan_float64(img, grid.sigma_x, grid.sigma_y, grid.lam)
+    monkeypatch.setattr(gabor.ScoreBlock, "single_norms", nan_first)
+    monkeypatch.setattr(gabor.ScoreBlock, "norms", counted)
+    _same_result(grid_optimize(img, grid), expected)
+    assert sum(rescored) == grid.size
+
 # ---------------------------------------------------------------------------
 # integral images and quadrants
 

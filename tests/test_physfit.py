@@ -122,6 +122,32 @@ def test_fit_rejects_short_profiles():
         fit_profile(np.zeros(5))
 
 
+def _fit_from(monkeypatch, guess, profile):
+    """fit_profile(profile) started from ``guess`` instead of initial_guess."""
+    monkeypatch.setattr(physfit, "initial_guess", lambda y: guess)
+    return fit_profile(profile)
+
+
+def test_fit_from_negative_width_reports_positive_width(monkeypatch):
+    """(width, skew) and (-width, -skew) are one model; the fit reports the
+    positive width."""
+    y, params = make_profile()
+    fit = _fit_from(monkeypatch, (0.55, 51.0, -5.0, -0.1, 0.21), y)
+    assert fit.width == pytest.approx(params["width"], abs=1e-6)
+    assert fit.skew == pytest.approx(params["skew"], abs=1e-6)
+
+
+@pytest.mark.parametrize("guess, profile, message", [
+    ((0.2, 40.0, 0.2, 0.0, 0.2), np.where(np.arange(128) == 40, 0.0, 0.2),
+     "fitted width 0.141 below 0.5 pixels"),
+    ((-0.55, 51.0, 5.0, 0.1, 0.21), 0.4 - make_profile()[0], "fitted amplitude -0.6 is negative"),
+    ((0.6, 52.0, float("nan"), 0.15, 0.2), make_profile()[0],
+     "fit diverged to non-finite parameters"),
+], ids=["one-pixel-dip", "bump", "nan-start"])
+def test_fit_rejects_unusable_optimum(monkeypatch, guess, profile, message):
+    with pytest.raises(FitError, match=message):
+        _fit_from(monkeypatch, guess, profile)
+
 def dip_image():
     x = np.arange(96, dtype=float)
     profile = dip_model(x, amp=0.5, center=40.0, width=5.0, skew=0.1, offset=0.6)

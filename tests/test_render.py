@@ -27,6 +27,10 @@ def test_pair_heatmap_colors_by_sign():
     assert "#ffffff" in svg  # zero stays white
 
 
+def test_pair_heatmap_all_zero_grid_is_white():
+    svg = pair_heatmap_svg([[0.0, 0.0], [0.0, -0.0]], ["a", "b"], "flat")
+    assert svg.count('fill="#ffffff"') == 4
+
 def test_write_explanation_svgs_per_class(tmp_path):
     bundle = {
         "classes": ["a", "b"],

@@ -1,14 +1,12 @@
 import os
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import median_filter
 
-from gaborboost.errors import ConfigError
-from gaborboost.util import parallel_map, parse_config_file, running_median, thread_count
+from gaborboost.util import parallel_map, running_median, thread_count
 
 # Quantized levels, so windows hold many ties, with both signs of zero.
 TIED = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
@@ -64,27 +62,3 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("GABORBOOST_THREADS", "junk")
     assert thread_count() == (os.cpu_count() or 1)
 
-
-def test_parse_config_file(tmp_path):
-    path = tmp_path / "run.conf"
-    path.write_text(
-        "# comment line\n"
-        "seed = 7\n"
-        "\n"
-        "features=GF+EGF  # trailing comment\n"
-    )
-    assert parse_config_file(path) == {"seed": "7", "features": "GF+EGF"}
-
-
-def test_parse_config_file_rejects_bare_words(tmp_path):
-    path = tmp_path / "bad.conf"
-    path.write_text("seed 7\n")
-    with pytest.raises(ConfigError, match="line 1"):
-        parse_config_file(path)
-
-
-def test_parse_config_file_rejects_empty_key(tmp_path):
-    path = tmp_path / "bad.conf"
-    path.write_text("=3\n")
-    with pytest.raises(ConfigError, match="empty key"):
-        parse_config_file(path)
