@@ -198,6 +198,8 @@ def _cmd_tabularize(args: argparse.Namespace) -> None:
             if "=" not in item:
                 raise ConfigError(f"--merge expects OLD=NEW, got {item!r}")
             old, new = item.split("=", 1)
+            if not old or not new:
+                raise ConfigError(f"--merge expects non-empty OLD and NEW, got {item!r}")
             merge_map[old] = new
         ds = dataio.reduce_classes(ds, merge_map, set(args.flip))
     rows = tabularize(ds)

@@ -225,8 +225,13 @@ def load_dataset(directory: str | Path) -> LabeledDataset:
     _, header = next(records, (None, None))
     if header != ["filename", "label"]:
         raise SchemaError(f"{manifest}: expected header filename,label, got {header}")
+    listed = []
+    for line, (fname, label) in records:
+        if not label:
+            raise ParseError(f"{manifest}: line {line}: empty label")
+        listed.append((fname, label))
     images, labels, names = [], [], []
-    for fname, label in sorted(record for _, record in records):
+    for fname, label in sorted(listed):
         images.append(load_image(directory / fname))
         labels.append(label)
         names.append(fname)
@@ -385,6 +390,8 @@ def read_feature_table(path: str | Path) -> list[FeatureRow]:
         kwargs = {}
         for col, cell in zip(columns, record):
             attr = _COLUMN_TO_ATTR.get(col, col)
+            if col == "label" and not cell:
+                raise ParseError(f"{path}: line {lineno}: empty label")
             if col in ("id", "label"):
                 kwargs[attr] = cell
             else:

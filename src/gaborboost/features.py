@@ -80,7 +80,6 @@ class GridResult:
     sigma_x: float
     sigma_y: float
     lam: float
-    score: float
     evaluations: int
 
 
@@ -92,52 +91,43 @@ def _scan(
 ) -> GridResult:
     """Best cell of the product of three axes, one ``ScoreBlock`` per sigma_x.
 
-    A cell scores its response-field norm times (sigma_x * sigma_y)**0.25.
-    The raw norm grows monotonically as either sigma shrinks (a narrower
-    envelope has a wider passband and collects more of the spectrum), so
-    comparing it across cells always favours the smallest envelope on the
-    grid; the factor removes that bias for a Gaussian packet, so the
-    per-axis score peaks where the kernel sigma matches the packet sigma.
-    Ties break toward the earlier cell in (sigma_x, sigma_y, lam) order,
-    which the strict comparison gives since every axis is scanned ascending.
+    A cell scores the norm of its ``convolve`` field times
+    (sigma_x * sigma_y)**0.25.  The raw norm grows monotonically as either
+    sigma shrinks (a narrower envelope has a wider passband and collects
+    more of the spectrum), so comparing it across cells always favours the
+    smallest envelope on the grid; the factor removes that bias for a
+    Gaussian packet, so the per-axis score peaks where the kernel sigma
+    matches the packet sigma.  The search returns the first cell of
+    highest score in (sigma_x, sigma_y, lam) order, every axis ascending.
 
     Every cell is first scored in single precision, with a margin its error
     cannot exceed (``ScoreBlock.single_norms``).  Only a cell whose score
-    plus margin reaches the best score minus margin can be the best, so
-    only those cells' rows and columns are scored again in float64 with
-    their block's full padding.  The chosen cell and its score are
-    therefore exactly those of scanning every cell in float64.  If a
-    single-precision score is not finite, every cell is rescored.
+    plus margin reaches the best score minus margin can be the best.  A
+    lone such candidate wins outright; several are rescored with
+    ``convolve`` and the first maximum wins.  If a single-precision score
+    is not finite, every cell is rescored.  An all-zero image has an
+    all-zero field in every cell, so its first cell wins unscored.
     """
     blocks = [ScoreBlock(img, sx, sigma_ys, lams) for sx in sigma_xs]
-    coarse = []
-    for sx, block in zip(sigma_xs, blocks):
-        norms, margins = block.single_norms()
-        factor = np.array([(sx * sy) ** 0.25 for sy in sigma_ys])[:, None]
-        coarse.append((norms * factor, margins * factor))
-    if all(np.isfinite(scores).all() for scores, _ in coarse):
-        floor = max(float((scores - margin).max()) for scores, margin in coarse)
-    else:
-        floor = -math.inf
+    cells = [(sx, sy, lam) for sx in sigma_xs for sy in sigma_ys for lam in lams]
+    if not img.data.any():
+        return GridResult(*cells[0], evaluations=len(cells))
+    norms, margins = map(np.concatenate, zip(*(block.single_norms() for block in blocks)))
+    factor = np.array([(sx * sy) ** 0.25 for sx in sigma_xs for sy in sigma_ys])[:, None]
+    scores, margins = (norms * factor).ravel(), (margins * factor).ravel()
+    floor = float((scores - margins).max()) if np.isfinite(scores).all() else -math.inf
+    candidates = np.flatnonzero(~(scores + margins < floor))  # NaN scores stay candidates
+    if candidates.size == 1:
+        return GridResult(*cells[candidates[0]], evaluations=len(cells))
 
-    best_score = -math.inf
-    best = (sigma_xs[0], sigma_ys[0], lams[0])
-    for sx, block, (scores, margin) in zip(sigma_xs, blocks, coarse):
-        candidate = ~(scores + margin < floor)  # NaN scores stay candidates
-        rows = np.flatnonzero(candidate.any(axis=1))
-        cols = np.flatnonzero(candidate.any(axis=0))
-        if rows.size == 0:
-            continue
-        norms = block.norms(rows, cols)
-        for i, row in zip(rows, norms):
-            sy = sigma_ys[i]
-            for j, norm in zip(cols, row):
-                score = float(norm) * (sx * sy) ** 0.25
-                if score > best_score:
-                    best_score = score
-                    best = (sx, sy, lams[j])
-    evals = len(sigma_xs) * len(sigma_ys) * len(lams)
-    return GridResult(*best, score=best_score, evaluations=evals)
+    best, best_score = candidates[0], -math.inf
+    for k in candidates:
+        sx, sy, lam = cells[k]
+        field = convolve(img, make_kernel(GaborParams(sx, sy, lam=lam), dc_correct=True))
+        score = math.sqrt(float((field.real**2 + field.imag**2).sum())) * (sx * sy) ** 0.25
+        if score > best_score:
+            best, best_score = k, score
+    return GridResult(*cells[best], evaluations=len(cells))
 
 
 def grid_optimize(img: GrayImage, grid: ParamGrid) -> GridResult:

@@ -101,7 +101,8 @@ SINGLE_ERROR_K = 16.0
 
 
 class ScoreBlock:
-    """Field norms of a block of theta=0, DC-corrected kernels sharing ``sigma_x``.
+    """Single-precision field norms of a block of theta=0, DC-corrected
+    kernels sharing ``sigma_x``: the parameter search's screen.
 
     Cell [i, j] is the kernel ``make_kernel(GaborParams(sigma_x, sigma_ys[i],
     lam=lams[j]), dc_correct=True)``.  At theta=0 it factors as ``norm *
@@ -115,11 +116,9 @@ class ScoreBlock:
     The constructor validates every cell, raising ``SizeError`` exactly when
     ``convolve`` would for some kernel of the block, and builds what the
     cells share: the padding by the block's largest half-height, the
-    transform lengths, the kernel spectra and the box sums.  ``norms``
-    scores any rows x columns in float64 on that shared padding, so an
-    entry has the same bits whichever other cells are scored with it.
-    ``single_norms`` scores every cell in single precision, with a margin
-    per cell that its error cannot exceed.
+    transform lengths, the kernel spectra and the box sums.
+    ``single_norms`` scores every cell, with a margin per cell that its
+    error cannot exceed; the search rescores close calls with ``convolve``.
     """
 
     def __init__(
@@ -148,21 +147,21 @@ class ScoreBlock:
         self.y_map = _symmetric_map(height, hmax)
         self.ny = ny = next_fast_len(height + 2 * hmax)
 
-        # Kernel factors and their spectra in float64; the single-precision
-        # pass rounds the spectra, which its error bound covers.
+        # Kernel factors and their spectra in float64, rounded to single
+        # precision once built; the error bound covers that rounding.
         dx = np.arange(-hw, hw + 1, dtype=np.float64)
         self.env_x = np.exp(-(dx**2) / (2.0 * sigma_x**2))
         lam_col = np.asarray(lams, dtype=np.float64)[:, None]
-        self.gx_hat = fft(self.env_x * np.exp(1j * lam_col * dx), nx, axis=1)
-        self.mean_re_gx = (self.env_x * np.cos(lam_col * dx)).mean(axis=1)
+        self.gx_hat = fft(self.env_x * np.exp(1j * lam_col * dx), nx, axis=1).astype(np.complex64)
+        mean_re_gx = (self.env_x * np.cos(lam_col * dx)).mean(axis=1)
         self.gy_sums, self.gy_hats, self.dc = [], [], []
         for sy, hh in zip(sigma_ys, self.hhs):
             dy = np.arange(-hh, hh + 1, dtype=np.float64)
             gy = np.exp(-(dy**2) / (2.0 * sy**2))
             norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_x * sy)
             self.gy_sums.append(norm * gy.sum())
-            self.gy_hats.append(fft(norm * gy, ny))
-            self.dc.append(norm * gy.mean())
+            self.gy_hats.append(fft(norm * gy, ny).astype(np.complex64))
+            self.dc.append((norm * gy.mean() * mean_re_gx).astype(np.float32))
 
         # Box sums of the padded image over the kernel support, for the DC
         # term: width-(2*hw+1) sums along x, then cumulated along y.  Both
@@ -171,10 +170,6 @@ class ScoreBlock:
         np.cumsum(self.xpad[:, self.y_map], axis=0, out=csum[1:])
         self.y_csum = np.zeros((width, height + 2 * hmax + 1))
         np.cumsum(csum[2 * hw + 1 :] - csum[:width], axis=1, out=self.y_csum[:, 1:])
-
-    def norms(self, rows, cols) -> np.ndarray:
-        """Float64 field norms of the cells ``sigma_ys[rows] x lams[cols]``."""
-        return self._field_norms(self.xpad, self.y_csum, rows, cols)
 
     def single_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """Every cell's field norm in single precision, and a margin that
@@ -195,36 +190,27 @@ class ScoreBlock:
         """
         _, e = math.frexp(float(np.abs(self.xpad).max()))
         scaled = np.ldexp(self.xpad, -e)
-        norms = self._field_norms(scaled.astype(np.float32), np.ldexp(self.y_csum, -e),
-                                  range(len(self.hhs)), range(len(self.mean_re_gx)))
+        y_csum = np.ldexp(self.y_csum, -e)
+        hw, hmax, width, height = self.hw, self.hmax, self.width, self.height
+        # x step: filter the x-padded columns with every carrier at once.
+        xspec = fft(scaled.astype(np.float32), self.nx, axis=0)
+        xfield = ifft(xspec[None] * self.gx_hat[:, :, None], axis=1)
+        # y step: the symmetric padding by a smaller half-height is a crop of
+        # the padding by hmax, so one transform per lam serves every sigma_y.
+        # Output y reads padded y + top .. y + top + 2*hh, with top = hmax - hh.
+        y_spectra = fft(xfield[:, 2 * hw : 2 * hw + width, self.y_map], self.ny, axis=2)
+        norms = np.empty((len(self.hhs), len(self.gx_hat)), dtype=np.float32)
+        for i, hh in enumerate(self.hhs):
+            top = hmax - hh
+            stop = top + 2 * hh + 1
+            # Differenced in float64, then rounded: the margins were calibrated so.
+            box = (y_csum[:, stop : stop + height] - y_csum[:, top : top + height]).astype(np.float32)
+            field = ifft(y_spectra * self.gy_hats[i], axis=2, overwrite_x=True)[:, :, stop - 1 : stop - 1 + height]
+            field -= self.dc[i][:, None, None] * box
+            norms[i] = np.sqrt((field.real**2 + field.imag**2).sum(axis=(1, 2)))
+
         counts = np.bincount(self.y_map, minlength=self.height)
         pad_norm = math.sqrt(float(np.square(scaled).sum(axis=0) @ counts))
         unit = SINGLE_ERROR_K * 2.0**-24 * math.log2(self.nx * self.ny) * pad_norm
         bounds = unit * 2.0 * np.array(self.gy_sums) * self.env_x.sum()
         return norms, np.maximum(SINGLE_REL_MARGIN * norms, bounds[:, None])
-
-    def _field_norms(self, xpad: np.ndarray, y_csum: np.ndarray, rows, cols) -> np.ndarray:
-        """Norms of ``rows x cols`` for the x-padded image ``xpad`` and its box
-        sums ``y_csum``; the transforms keep ``xpad``'s precision."""
-        real = xpad.dtype
-        cplx = np.result_type(real, np.complex64)
-        cols = np.asarray(cols, dtype=np.intp)
-        hw, hmax, width, height = self.hw, self.hmax, self.width, self.height
-        # x step: filter the x-padded columns with every carrier at once.
-        gx_hat = self.gx_hat[cols].astype(cplx, copy=False)
-        xfield = ifft(fft(xpad, self.nx, axis=0)[None] * gx_hat[:, :, None], axis=1)
-        # y step: the symmetric padding by a smaller half-height is a crop of
-        # the padding by hmax, so one transform per lam serves every sigma_y.
-        # Output y reads padded y + top .. y + top + 2*hh, with top = hmax - hh.
-        y_spectra = fft(xfield[:, 2 * hw : 2 * hw + width, self.y_map], self.ny, axis=2)
-        out = np.empty((len(rows), len(cols)), dtype=real)
-        for k, i in enumerate(rows):
-            hh = self.hhs[i]
-            top = hmax - hh
-            stop = top + 2 * hh + 1
-            box = (y_csum[:, stop : stop + height] - y_csum[:, top : top + height]).astype(real, copy=False)
-            gy_hat = self.gy_hats[i].astype(cplx, copy=False)
-            field = ifft(y_spectra * gy_hat, axis=2, overwrite_x=True)[:, :, stop - 1 : stop - 1 + height]
-            field -= (self.dc[i] * self.mean_re_gx[cols]).astype(real, copy=False)[:, None, None] * box
-            out[k] = np.sqrt((field.real**2 + field.imag**2).sum(axis=(1, 2)))
-        return out

@@ -8,19 +8,23 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .dataio import plain_number
+from .errors import ConfigError
+
 THREADS_ENV = "GABORBOOST_THREADS"
 
 
 def thread_count() -> int:
-    """Worker cap from GABORBOOST_THREADS; 0, unset, or junk means auto."""
+    """Worker cap from GABORBOOST_THREADS, read as ``dataio.plain_number``
+    reads an int; unset or 0 means the CPU count."""
     raw = os.environ.get(THREADS_ENV, "0")
     try:
-        n = int(raw)
+        n = plain_number(raw, int)
     except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
+        n = -1
+    if n < 0:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer or 0, got {raw!r}")
+    return n or os.cpu_count() or 1
 
 
 def running_median(data: np.ndarray, window: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use.
 
-Most check the library by independent or naive routes; ``block_scores``
-is a shorthand for a library call that only tests make, and
+Most check the library by independent or naive routes; ``cell_scorer``
+scores a search cell by the library's own expression, so that the
+reference scans break noise-level ties as the search does, and
 ``boost_terms_reference`` is the boosting loop as it was before it
 worked in place, which the library must match bit for bit.  They are
 kept out of the package's public API.
@@ -9,6 +10,7 @@ kept out of the package's public API.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import fields
 
@@ -16,8 +18,8 @@ import numpy as np
 
 from gaborboost.dataio import FeatureRow, GrayImage
 from gaborboost.ebm import Term, TrainConfig
-from gaborboost.features import GridResult
-from gaborboost.gabor import GaborParams, ScoreBlock, convolve, make_kernel
+from gaborboost.features import GridResult, ParamGrid
+from gaborboost.gabor import GaborParams, convolve, make_kernel
 
 
 def value_at(kernel: np.ndarray, dx: int, dy: int) -> complex:
@@ -47,40 +49,44 @@ def response_norm(img: GrayImage, p: GaborParams, dc_correct: bool = True) -> fl
     return float(np.linalg.norm(convolve(img, kernel)))
 
 
-def block_scores(
-    img: GrayImage,
-    sigma_x: float,
-    sigma_ys: tuple[float, ...],
-    lams: tuple[float, ...],
-) -> np.ndarray:
-    """Every cell of one ``ScoreBlock`` scored in float64: the library's
-    search scores, not an independent route.  Entry [i, j] equals
-    ``response_norm(img, GaborParams(sigma_x, sigma_ys[i], lam=lams[j]))``
-    up to rounding."""
-    return ScoreBlock(img, sigma_x, sigma_ys, lams).norms(range(len(sigma_ys)), range(len(lams)))
+def cell_scorer(img: GrayImage):
+    """The search's score of a cell (sigma_x, sigma_y, lam) of ``img``: the
+    norm of its ``convolve`` field, by the library's expression, times
+    (sigma_x * sigma_y)**0.25.  Each cell is convolved once, however many
+    scans ask for it."""
+
+    @functools.cache
+    def score(sx: float, sy: float, lam: float) -> float:
+        field = convolve(img, make_kernel(GaborParams(sx, sy, lam=lam), dc_correct=True))
+        return math.sqrt(float((field.real**2 + field.imag**2).sum())) * (sx * sy) ** 0.25
+
+    return score
 
 
 def scan_float64(
-    img: GrayImage,
+    score,
     sigma_xs: tuple[float, ...],
     sigma_ys: tuple[float, ...],
     lams: tuple[float, ...],
 ) -> GridResult:
-    """Best cell of the product of three axes, every cell scored in float64:
-    the reference for ``features._scan``, which scores in single precision
-    first.  Scores and ties are as ``_scan`` documents them."""
-    best_score = -math.inf
-    best = (sigma_xs[0], sigma_ys[0], lams[0])
-    for sx in sigma_xs:
-        norms = block_scores(img, sx, sigma_ys, lams)
-        for i, sy in enumerate(sigma_ys):
-            for j, lam in enumerate(lams):
-                score = float(norms[i, j]) * (sx * sy) ** 0.25
-                if score > best_score:
-                    best_score = score
-                    best = (sx, sy, lam)
-    evals = len(sigma_xs) * len(sigma_ys) * len(lams)
-    return GridResult(*best, score=best_score, evaluations=evals)
+    """First cell of highest ``score`` over the product of three axes, every
+    cell scored: the reference for ``features._scan``, which screens in
+    single precision first."""
+    cells = [(sx, sy, lam) for sx in sigma_xs for sy in sigma_ys for lam in lams]
+    best, best_score = cells[0], -math.inf
+    for cell in cells:
+        if (value := score(*cell)) > best_score:
+            best, best_score = cell, value
+    return GridResult(*best, evaluations=len(cells))
+
+
+def two_step_float64(score, grid: ParamGrid) -> GridResult:
+    """The reference for ``features.two_step_optimize``: ``scan_float64`` over
+    (sigma_y, lam) at the widest sigma_x, then over sigma_x."""
+    first = scan_float64(score, grid.sigma_x[-1:], grid.sigma_y, grid.lam)
+    second = scan_float64(score, grid.sigma_x, (first.sigma_y,), (first.lam,))
+    return GridResult(second.sigma_x, second.sigma_y, second.lam,
+                      evaluations=first.evaluations + second.evaluations)
 
 
 def rows_close(a: FeatureRow, b: FeatureRow, tol: float = 1e-12) -> bool:

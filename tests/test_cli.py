@@ -618,6 +618,53 @@ def test_tabularize_merge_without_equals_reports_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("merge", ["vortex=", "=partial"], ids=["empty-new", "empty-old"])
+def test_tabularize_merge_rejects_empty_class(small_images, tmp_path, capsys, merge):
+    """A class label is never empty, so neither side of --merge may be."""
+    out = tmp_path / "t.csv"
+    capsys.readouterr()
+    rc = main(["tabularize", "--data", str(small_images), "--out", str(out), "--merge", merge])
+    assert rc == 1
+    assert one_error_line(capsys, "--merge expects non-empty OLD and NEW", repr(merge))
+    assert not out.exists()
+
+
+def test_tabularize_rejects_empty_manifest_label(small_images, tmp_path, capsys):
+    manifest = small_images / "labels.csv"
+    lines = manifest.read_text().splitlines()
+    lines[3] = lines[3].split(",")[0] + ","
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "t.csv"
+    capsys.readouterr()
+    rc = main(["tabularize", "--data", str(small_images), "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys, "labels.csv", "line 4: empty label")
+    assert not out.exists()
+
+
+def test_train_rejects_empty_table_label(small_table, tmp_path, capsys):
+    lines = small_table.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ","
+    small_table.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "model.json"
+    rc = main(["train", "--table", str(small_table), "--out", str(out), *FAST_TRAIN])
+    assert rc == 1
+    assert one_error_line(capsys, small_table.name, "line 5: empty label")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["1_0", "x", "\u0663"])
+def test_tabularize_rejects_non_plain_thread_count(small_images, tmp_path, capsys, monkeypatch,
+                                                   raw):
+    monkeypatch.setenv("GABORBOOST_THREADS", raw)
+    out = tmp_path / "t.csv"
+    capsys.readouterr()
+    rc = main(["tabularize", "--data", str(small_images), "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys, "GABORBOOST_THREADS", repr(raw))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda text: "", "empty feature table"),
     (lambda text: text.replace("q_tl,q_tr", "q_tr,q_tl", 1), "header mismatch"),

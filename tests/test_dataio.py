@@ -381,12 +381,13 @@ FLOAT_FIELDS = [f.name for f in fields(FeatureRow) if f.name not in ("id", "labe
 
 @st.composite
 def feature_rows(draw):
-    """Rows of one schema, with distinct ids, whose strings need CSV quoting
-    and whose floats span NaN, the infinities, signed zeros and subnormals."""
+    """Rows of one schema, with distinct ids and non-empty labels, whose
+    strings need CSV quoting and whose floats span NaN, the infinities,
+    signed zeros and subnormals."""
     with_pf = draw(st.booleans())
     names = [n for n in FLOAT_FIELDS if with_pf or n not in PF_COLUMNS]
     return [
-        FeatureRow(id=row_id, label=draw(TABLE_TEXT),
+        FeatureRow(id=row_id, label=draw(TABLE_TEXT.filter(bool)),
                    **{name: draw(st.floats()) for name in names})
         for row_id in draw(st.lists(TABLE_TEXT, max_size=4, unique=True))
     ]

@@ -291,10 +291,24 @@ def test_boosting_is_bitwise_the_reference_loop(tmp_path_factory, case, config):
     assert all((a == b).all() for a, b in zip(logits, logits_ref))
 
 
-@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
-    arrays(np.float64, n, elements=st.one_of(st.floats(-800.0, 800.0), st.floats(-40.0, 40.0))),
-    arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])),
-    st.one_of(st.just(np.ones(n)), arrays(np.float64, n, elements=st.floats(0.1, 10.0))))))
+@st.composite
+def log_loss_cases(draw):
+    """1 to 60 rows: logits in +-800, in +-40 or a mix of both, 0/1 labels,
+    and unit or non-unit weights.  Hypothesis draws a case's shape and a
+    seed and numpy draws its values, so a case costs a handful of draws
+    instead of three per row."""
+    n = draw(st.integers(1, 60))
+    wide_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    unit_weights = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wide = rng.random(n) < wide_share
+    logit = np.where(wide, rng.uniform(-800.0, 800.0, n), rng.uniform(-40.0, 40.0, n))
+    y = rng.integers(0, 2, n).astype(np.float64)
+    w = np.ones(n) if unit_weights else rng.uniform(0.1, 10.0, n)
+    return logit, y, w
+
+
+@given(log_loss_cases())
 def test_log_loss_is_bitwise_the_reference(case):
     logit, y, w = case
     assert _log_loss(y, logit, w) == log_loss_reference(y, logit, w)

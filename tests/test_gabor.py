@@ -12,7 +12,7 @@ from gaborboost.gabor import (
     convolve,
     make_kernel,
 )
-from oracles import block_scores, convolve_direct, response_norm, value_at
+from oracles import convolve_direct, response_norm, value_at
 
 
 def test_params_validation():
@@ -177,10 +177,18 @@ def test_response_norm_matches_brute_force():
     assert response_norm(img, p) == pytest.approx(brute, rel=1e-12)
 
 
-def _oracle_block(img, sigma_x, sigma_ys, lams):
-    return np.array(
+def _assert_within_margin(img, sigma_x, sigma_ys, lams):
+    """Each single-precision norm of a block lies within its margin of the
+    2-D ``response_norm`` of its cell, for the image scaled by the power of
+    two that brings its largest magnitude into [0.5, 1)."""
+    norms, margins = ScoreBlock(img, sigma_x, sigma_ys, lams).single_norms()
+    assert norms.dtype == np.float32
+    assert norms.shape == margins.shape == (len(sigma_ys), len(lams))
+    exact = np.array(
         [[response_norm(img, GaborParams(sigma_x, sy, lam=lam)) for lam in lams] for sy in sigma_ys]
     )
+    _, exp = math.frexp(np.abs(img.data).max())
+    assert np.all(np.abs(norms - np.ldexp(exact, -exp)) <= margins)
 
 
 @pytest.mark.parametrize("width,height", [(96, 48), (128, 64), (160, 80), (192, 96)])
@@ -189,19 +197,15 @@ def test_block_scores_match_response_norm(width, height):
     img = flatten_background(GrayImage(rng.random((height, width))))
     grid = default_grid(width, height)
     for sx in grid.sigma_x:
-        fast = block_scores(img, sx, grid.sigma_y, grid.lam)
-        assert fast.shape == (len(grid.sigma_y), len(grid.lam))
-        np.testing.assert_allclose(fast, _oracle_block(img, sx, grid.sigma_y, grid.lam), rtol=1e-12)
+        _assert_within_margin(img, sx, grid.sigma_y, grid.lam)
 
 
 def test_block_scores_half_height_beyond_image():
     """sigma_y=5 needs 15 rows of padding on each side of a 12-row image."""
     rng = np.random.default_rng(12)
     img = GrayImage(rng.standard_normal((12, 40)))
-    sigma_ys, lams = (1.0, 2.0, 5.0), (0.0, 0.5, 2.0)
     for sx in (1.5, 4.0):
-        fast = block_scores(img, sx, sigma_ys, lams)
-        np.testing.assert_allclose(fast, _oracle_block(img, sx, sigma_ys, lams), rtol=1e-12)
+        _assert_within_margin(img, sx, (1.0, 2.0, 5.0), (0.0, 0.5, 2.0))
 
 
 def test_block_scores_size_error_matches_convolve():
@@ -212,33 +216,17 @@ def test_block_scores_size_error_matches_convolve():
                 convolve(img, make_kernel(GaborParams(sx, sy, lam=0.5), dc_correct=True))
             except SizeError:
                 with pytest.raises(SizeError):
-                    block_scores(img, sx, (1.0, sy), (0.5,))
+                    ScoreBlock(img, sx, (1.0, sy), (0.5,))
             else:
-                block_scores(img, sx, (1.0, sy), (0.5,))
+                ScoreBlock(img, sx, (1.0, sy), (0.5,))
 
 
 def test_block_scores_rejects_invalid_cells():
     img = GrayImage(np.ones((12, 12)))
     with pytest.raises(ConfigError):
-        block_scores(img, 1.0, (1.0, -2.0), (0.5,))
+        ScoreBlock(img, 1.0, (1.0, -2.0), (0.5,))
     with pytest.raises(ConfigError):
-        block_scores(img, 1.0, (1.0,), (0.5, float("nan")))
-
-
-def test_score_block_subsets_match_full_block_bitwise():
-    """Rescoring some rows and columns gives the full block's entries bit for
-    bit, because every cell is padded by the whole block's half-height."""
-    rng = np.random.default_rng(31)
-    for width, height in ((96, 48), (128, 64), (40, 12)):
-        img = flatten_background(GrayImage(rng.random((height, width))))
-        sigma_ys, lams = (1.0, 2.0, 4.0), (0.0, 0.4, 0.8, 1.6)
-        for sx in (1.5, 3.0):
-            block = ScoreBlock(img, sx, sigma_ys, lams)
-            full = block_scores(img, sx, sigma_ys, lams)
-            for _ in range(5):
-                rows = np.sort(rng.choice(3, int(rng.integers(1, 4)), replace=False))
-                cols = np.sort(rng.choice(4, int(rng.integers(1, 5)), replace=False))
-                assert np.array_equal(block.norms(rows, cols), full[np.ix_(rows, cols)])
+        ScoreBlock(img, 1.0, (1.0,), (0.5, float("nan")))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
@@ -252,10 +240,5 @@ def test_single_norms_lie_within_their_margin(scale):
     flat = flatten_background(GrayImage(rng.random((64, 128))))
     for img in (flat, GrayImage(1e4 + 0.01 * rng.standard_normal((64, 128)))):
         img = GrayImage(scale * img.data)
-        _, exp = math.frexp(np.abs(img.data).max())
         for sx in (grid.sigma_x[0], grid.sigma_x[-1]):
-            block = ScoreBlock(img, sx, grid.sigma_y, grid.lam)
-            norms, margins = block.single_norms()
-            assert norms.dtype == np.float32
-            exact = np.ldexp(block_scores(img, sx, grid.sigma_y, grid.lam), -exp)
-            assert np.all(np.abs(norms - exact) <= margins)
+            _assert_within_margin(img, sx, grid.sigma_y, grid.lam)

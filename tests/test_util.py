@@ -1,11 +1,13 @@
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import median_filter
 
+from gaborboost.errors import ConfigError
 from gaborboost.util import parallel_map, running_median, thread_count
 
 # Quantized levels, so windows hold many ties, with both signs of zero.
@@ -57,8 +59,20 @@ def test_parallel_map_matches_serial_under_thread_cap(monkeypatch):
 def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("GABORBOOST_THREADS", "3")
     assert thread_count() == 3
+    monkeypatch.setenv("GABORBOOST_THREADS", " 2 ")
+    assert thread_count() == 2
     monkeypatch.setenv("GABORBOOST_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("GABORBOOST_THREADS", "junk")
     assert thread_count() == (os.cpu_count() or 1)
+    monkeypatch.delenv("GABORBOOST_THREADS")
+    assert thread_count() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("raw", ["junk", "1_0", "\u0663", "-2", "1.5", ""])
+def test_thread_count_rejects_anything_but_a_plain_count(monkeypatch, raw):
+    """GABORBOOST_THREADS follows the CSV cells' number rule: digit-group
+    underscores and non-ASCII digits (an Arabic-Indic three) are errors, as
+    are junk, negative and fractional counts."""
+    monkeypatch.setenv("GABORBOOST_THREADS", raw)
+    with pytest.raises(ConfigError, match=f"GABORBOOST_THREADS .* got {raw!r}"):
+        thread_count()
 
