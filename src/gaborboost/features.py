@@ -89,7 +89,8 @@ def _scan(
     sigma_ys: tuple[float, ...],
     lams: tuple[float, ...],
 ) -> GridResult:
-    """Best cell of the product of three axes, one ``ScoreBlock`` per sigma_x.
+    """Best cell of the product of three axes, screened in one ``ScoreBlock``
+    per sigma of the axis with fewer sigmas, x on a tie.
 
     A cell scores the norm of its ``convolve`` field times
     (sigma_x * sigma_y)**0.25.  The raw norm grows monotonically as either
@@ -108,12 +109,17 @@ def _scan(
     is not finite, every cell is rescored.  An all-zero image has an
     all-zero field in every cell, so its first cell wins unscored.
     """
-    blocks = [ScoreBlock(img, sx, sigma_ys, lams) for sx in sigma_xs]
+    # A block filters along its one sigma's axis once for all its cells, so
+    # splitting along the axis with fewer sigmas makes the fewest blocks.
+    if len(sigma_xs) <= len(sigma_ys):
+        axis, blocks = 0, [ScoreBlock(img, (sx,), sigma_ys, lams) for sx in sigma_xs]
+    else:
+        axis, blocks = 1, [ScoreBlock(img, sigma_xs, (sy,), lams) for sy in sigma_ys]
     cells = [(sx, sy, lam) for sx in sigma_xs for sy in sigma_ys for lam in lams]
     if not img.data.any():
         return GridResult(*cells[0], evaluations=len(cells))
-    norms, margins = map(np.concatenate, zip(*(block.single_norms() for block in blocks)))
-    factor = np.array([(sx * sy) ** 0.25 for sx in sigma_xs for sy in sigma_ys])[:, None]
+    norms, margins = (np.concatenate(parts, axis) for parts in zip(*(b.single_norms() for b in blocks)))
+    factor = np.array([[(sx * sy) ** 0.25 for sy in sigma_ys] for sx in sigma_xs])[:, :, None]
     scores, margins = (norms * factor).ravel(), (margins * factor).ravel()
     floor = float((scores - margins).max()) if np.isfinite(scores).all() else -math.inf
     candidates = np.flatnonzero(~(scores + margins < floor))  # NaN scores stay candidates

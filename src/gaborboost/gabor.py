@@ -100,23 +100,38 @@ SINGLE_REL_MARGIN = 1e-4
 SINGLE_ERROR_K = 16.0
 
 
+def _factor(sigma: float, h: int, lams: tuple[float, ...], along_x: bool):
+    """One axis's factor of a theta=0 kernel over offsets [-h..h]: its
+    envelope, its rows (a complex carrier per lam along x, the envelope
+    itself along y) and the mean of each row's real part."""
+    d = np.arange(-h, h + 1, dtype=np.float64)
+    env = np.exp(-(d**2) / (2.0 * sigma**2))
+    if not along_x:
+        return env, env[None], env.mean()
+    lam_col = np.asarray(lams, dtype=np.float64)[:, None]
+    return env, env * np.exp(1j * lam_col * d), (env * np.cos(lam_col * d)).mean(axis=1)
+
+
 class ScoreBlock:
     """Single-precision field norms of a block of theta=0, DC-corrected
-    kernels sharing ``sigma_x``: the parameter search's screen.
+    kernels, the parameter search's screen: the cells that share one sigma
+    on the axis the block filters first.  A block holds one sigma_x, or
+    several and one sigma_y; any other shape is a ``ConfigError``.
 
-    Cell [i, j] is the kernel ``make_kernel(GaborParams(sigma_x, sigma_ys[i],
-    lam=lams[j]), dc_correct=True)``.  At theta=0 it factors as ``norm *
-    outer(gy, gx) - c``: a real vertical Gaussian ``gy``, a complex
-    horizontal carrier ``gx``, and the DC-correction constant ``c = norm *
-    mean(gy) * mean(Re gx)``.  So a block needs only 1-D transforms: one row
-    FFT of the image, one inverse per lam, one column FFT per lam, one
-    inverse per (sigma_y, lam), and a box sum of the padded image for the
-    constant term.
+    Cell [i, j, k] is the kernel ``make_kernel(GaborParams(sigma_xs[i],
+    sigma_ys[j], lam=lams[k]), dc_correct=True)``.  At theta=0 it factors
+    as ``norm * outer(gy, gx) - c``: a real vertical Gaussian ``gy``, a
+    complex horizontal carrier ``gx``, and the DC-correction constant ``c
+    = norm * mean(Re gx) * mean(gy)``.  So a block needs only 1-D
+    transforms: a block of one sigma_x filters along x with every carrier,
+    then along y with every sigma_y; a block of one sigma_y filters along y
+    once, then along x with every (sigma_x, lam) carrier, by the same code
+    on swapped axes.  The constant term is a box sum of the padded image.
 
     The constructor validates every cell, raising ``SizeError`` exactly when
     ``convolve`` would for some kernel of the block, and builds what the
-    cells share: the padding by the block's largest half-height, the
-    transform lengths, the kernel spectra and the box sums.
+    cells share: the padding by the block's largest second-axis half
+    support, the transform lengths, the kernel spectra and the box sums.
     ``single_norms`` scores every cell, with a margin per cell that its
     error cannot exceed; the search rescores close calls with ``convolve``.
     """
@@ -124,93 +139,105 @@ class ScoreBlock:
     def __init__(
         self,
         img: GrayImage,
-        sigma_x: float,
+        sigma_xs: tuple[float, ...],
         sigma_ys: tuple[float, ...],
         lams: tuple[float, ...],
     ) -> None:
-        for sy in sigma_ys:
-            for lam in lams:
-                GaborParams(sigma_x=sigma_x, sigma_y=sy, lam=lam)
-        self.height, self.width = height, width = img.data.shape
-        self.hw = hw = math.ceil(SUPPORT_SIGMAS * sigma_x)
-        self.hhs = [math.ceil(SUPPORT_SIGMAS * sy) for sy in sigma_ys]
-        self.hmax = hmax = max(self.hhs)
-        _check_extent(2 * hmax + 1, 2 * hw + 1, img)
+        for sx in sigma_xs:
+            for sy in sigma_ys:
+                for lam in lams:
+                    GaborParams(sigma_x=sx, sigma_y=sy, lam=lam)
+        hh, hw = (math.ceil(SUPPORT_SIGMAS * max(sigmas)) for sigmas in (sigma_ys, sigma_xs))
+        _check_extent(2 * hh + 1, 2 * hw + 1, img)
+        x_first = len(sigma_xs) == 1
+        if not x_first and len(sigma_ys) != 1:
+            raise ConfigError("a block holds one sigma_x or one sigma_y")
+        self.shape = (len(sigma_xs), len(sigma_ys), len(lams))
+        # The image is worked on with axis 0 the axis filtered first, so the
+        # second-axis transforms, the most numerous, run along the
+        # contiguous axis.  Output index i reads padded i .. i + 2*h, which
+        # is also what the circular convolution at index i + 2*h reads, so
+        # the padded length never wraps.
+        data = img.data.T if x_first else img.data
+        sigma1, sigmas2 = (sigma_xs[0], sigma_ys) if x_first else (sigma_ys[0], sigma_xs)
+        self.n1, self.n2 = n1, n2 = data.shape
+        self.h1 = h1 = math.ceil(SUPPORT_SIGMAS * sigma1)
+        self.h2s = [math.ceil(SUPPORT_SIGMAS * s) for s in sigmas2]
+        self.h2max = h2max = max(self.h2s)
 
-        # The image is worked on transposed, axis 0 = x and axis 1 = y, so
-        # the y transforms, the most numerous, run along the contiguous axis.
-        # Output x reads padded x .. x + 2*hw, which is also what the
-        # circular convolution at index x + 2*hw reads, so the padded length
-        # never wraps; likewise along y with hmax.
-        self.xpad = img.data.T[_symmetric_map(width, hw)]
-        self.nx = nx = next_fast_len(width + 2 * hw)
-        self.y_map = _symmetric_map(height, hmax)
-        self.ny = ny = next_fast_len(height + 2 * hmax)
+        self.pad1 = data[_symmetric_map(n1, h1)]
+        self.len1 = next_fast_len(n1 + 2 * h1)
+        self.map2 = _symmetric_map(n2, h2max)
+        self.len2 = next_fast_len(n2 + 2 * h2max)
 
         # Kernel factors and their spectra in float64, rounded to single
-        # precision once built; the error bound covers that rounding.
-        dx = np.arange(-hw, hw + 1, dtype=np.float64)
-        self.env_x = np.exp(-(dx**2) / (2.0 * sigma_x**2))
-        lam_col = np.asarray(lams, dtype=np.float64)[:, None]
-        self.gx_hat = fft(self.env_x * np.exp(1j * lam_col * dx), nx, axis=1).astype(np.complex64)
-        mean_re_gx = (self.env_x * np.cos(lam_col * dx)).mean(axis=1)
-        self.gy_sums, self.gy_hats, self.dc = [], [], []
-        for sy, hh in zip(sigma_ys, self.hhs):
-            dy = np.arange(-hh, hh + 1, dtype=np.float64)
-            gy = np.exp(-(dy**2) / (2.0 * sy**2))
-            norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_x * sy)
-            self.gy_sums.append(norm * gy.sum())
-            self.gy_hats.append(fft(norm * gy, ny).astype(np.complex64))
-            self.dc.append((norm * gy.mean() * mean_re_gx).astype(np.float32))
+        # precision once built; the error bound covers that rounding.  The
+        # factor norm goes into the second axis's spectra.
+        env1, rows1, mean1 = _factor(sigma1, h1, lams, x_first)
+        self.env1_sum = env1.sum()
+        self.hat1 = fft(rows1, self.len1, axis=1).astype(np.complex64)
+        self.sums2, self.hats2, self.dc = [], [], []
+        for s, h in zip(sigmas2, self.h2s):
+            env, rows, mean = _factor(s, h, lams, not x_first)
+            sx, sy = (sigma1, s) if x_first else (s, sigma1)
+            norm = 1.0 / (math.sqrt(2.0 * math.pi) * sx * sy)
+            self.sums2.append(norm * env.sum())
+            # Shape (rows, 1, len2), to broadcast over the first axis's lines.
+            self.hats2.append(fft(norm * rows, self.len2, axis=1).astype(np.complex64)[:, None])
+            self.dc.append((norm * mean * mean1).astype(np.float32))
 
         # Box sums of the padded image over the kernel support, for the DC
-        # term: width-(2*hw+1) sums along x, then cumulated along y.  Both
-        # cumulative sums start with a zero, so every box is one difference.
-        csum = np.zeros((width + 2 * hw + 1, height + 2 * hmax))
-        np.cumsum(self.xpad[:, self.y_map], axis=0, out=csum[1:])
-        self.y_csum = np.zeros((width, height + 2 * hmax + 1))
-        np.cumsum(csum[2 * hw + 1 :] - csum[:width], axis=1, out=self.y_csum[:, 1:])
+        # term: width-(2*h1+1) sums along axis 0, then cumulated along axis
+        # 1.  Both cumulative sums start with a zero, so every box is one
+        # difference.
+        csum = np.zeros((n1 + 2 * h1 + 1, n2 + 2 * h2max))
+        np.cumsum(self.pad1[:, self.map2], axis=0, out=csum[1:])
+        self.csum2 = np.zeros((n1, n2 + 2 * h2max + 1))
+        np.cumsum(csum[2 * h1 + 1 :] - csum[:n1], axis=1, out=self.csum2[:, 1:])
 
     def single_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """Every cell's field norm in single precision, and a margin that
-        its error cannot exceed.
+        its error cannot exceed, both of the block's shape (sigma_x,
+        sigma_y, lam).
 
         Both are for the image times ``2**-e``, the power of two that brings
         its largest magnitude into [0.5, 1).  That scaling is exact, so no
         image overflows or underflows float32 and the norms' ratios do not
         depend on the image's scale.  The margin is the larger of
         ``SINGLE_REL_MARGIN`` times the norm and the a priori error bound of
-        an FFT convolution, ``SINGLE_ERROR_K * 2**-24 * log2(nx * ny) *
-        ||padded image||_2 * ||kernel||_1``, with ``||kernel||_1 <= 2 *
-        norm * sum(gy) * sum(env_x)`` because the DC term obeys ``|c| *
+        a two-stage FFT convolution, ``SINGLE_ERROR_K * 2**-24 * log2(nx *
+        ny) * ||padded image||_2 * ||kernel||_1``, with ``||kernel||_1 <= 2
+        * norm * sum(gy) * sum(env_x)`` because the DC term obeys ``|c| *
         (2*hh+1) * (2*hw+1) <= norm * sum(gy) * sum(env_x)``.  The relative
         part alone would not do: float32 noise on a near-zero field, such as
         an unflattened constant image's, differs between cells by far more
         than 1e-4 of it.  A non-finite norm has no margin.
         """
-        _, e = math.frexp(float(np.abs(self.xpad).max()))
-        scaled = np.ldexp(self.xpad, -e)
-        y_csum = np.ldexp(self.y_csum, -e)
-        hw, hmax, width, height = self.hw, self.hmax, self.width, self.height
-        # x step: filter the x-padded columns with every carrier at once.
-        xspec = fft(scaled.astype(np.float32), self.nx, axis=0)
-        xfield = ifft(xspec[None] * self.gx_hat[:, :, None], axis=1)
-        # y step: the symmetric padding by a smaller half-height is a crop of
-        # the padding by hmax, so one transform per lam serves every sigma_y.
-        # Output y reads padded y + top .. y + top + 2*hh, with top = hmax - hh.
-        y_spectra = fft(xfield[:, 2 * hw : 2 * hw + width, self.y_map], self.ny, axis=2)
-        norms = np.empty((len(self.hhs), len(self.gx_hat)), dtype=np.float32)
-        for i, hh in enumerate(self.hhs):
-            top = hmax - hh
-            stop = top + 2 * hh + 1
+        _, e = math.frexp(float(np.abs(self.pad1).max()))
+        scaled = np.ldexp(self.pad1, -e)
+        csum2 = np.ldexp(self.csum2, -e)
+        h1, h2max, n1, n2 = self.h1, self.h2max, self.n1, self.n2
+        # First axis: filter the padded lines with every first-axis kernel.
+        spec1 = fft(scaled.astype(np.float32), self.len1, axis=0)
+        field1 = ifft(spec1[None] * self.hat1[:, :, None], axis=1)
+        # Second axis: the symmetric padding by a smaller half support is a
+        # crop of the padding by h2max, so one transform per field serves
+        # every second-axis sigma.  Output j reads padded j + top .. j +
+        # top + 2*h, with top = h2max - h.
+        spectra2 = fft(field1[:, 2 * h1 : 2 * h1 + n1, self.map2], self.len2, axis=2)
+        norms = np.empty((len(self.h2s), len(self.dc[0])), dtype=np.float32)
+        for i, h in enumerate(self.h2s):
+            top = h2max - h
+            stop = top + 2 * h + 1
             # Differenced in float64, then rounded: the margins were calibrated so.
-            box = (y_csum[:, stop : stop + height] - y_csum[:, top : top + height]).astype(np.float32)
-            field = ifft(y_spectra * self.gy_hats[i], axis=2, overwrite_x=True)[:, :, stop - 1 : stop - 1 + height]
+            box = (csum2[:, stop : stop + n2] - csum2[:, top : top + n2]).astype(np.float32)
+            field = ifft(spectra2 * self.hats2[i], axis=2, overwrite_x=True)[:, :, stop - 1 : stop - 1 + n2]
             field -= self.dc[i][:, None, None] * box
             norms[i] = np.sqrt((field.real**2 + field.imag**2).sum(axis=(1, 2)))
 
-        counts = np.bincount(self.y_map, minlength=self.height)
+        counts = np.bincount(self.map2, minlength=n2)
         pad_norm = math.sqrt(float(np.square(scaled).sum(axis=0) @ counts))
-        unit = SINGLE_ERROR_K * 2.0**-24 * math.log2(self.nx * self.ny) * pad_norm
-        bounds = unit * 2.0 * np.array(self.gy_sums) * self.env_x.sum()
-        return norms, np.maximum(SINGLE_REL_MARGIN * norms, bounds[:, None])
+        unit = SINGLE_ERROR_K * 2.0**-24 * math.log2(self.len1 * self.len2) * pad_norm
+        bounds = unit * 2.0 * np.array(self.sums2) * self.env1_sum
+        margins = np.maximum(SINGLE_REL_MARGIN * norms, bounds[:, None])
+        return norms.reshape(self.shape), margins.reshape(self.shape)

@@ -257,7 +257,7 @@ def test_search_rescores_every_cell_when_a_single_score_is_not_finite(monkeypatc
 
     def nan_first(block):
         scores, margins = single(block)
-        scores[0, 0] = np.nan
+        scores[0, 0, 0] = np.nan
         return scores, margins
 
     expected = scan_float64(cell_scorer(img), grid.sigma_x, grid.sigma_y, grid.lam)
@@ -265,6 +265,34 @@ def test_search_rescores_every_cell_when_a_single_score_is_not_finite(monkeypatc
     rescored = _count_rescoring(monkeypatch)
     assert grid_optimize(img, grid) == expected
     assert len(rescored) == grid.size
+
+
+def test_each_pass_screens_in_one_block(monkeypatch):
+    """A block holds the cells that share one sigma on the axis it filters
+    first, and the search splits its grid along the axis with fewer sigmas,
+    x on a tie: ``two_step_optimize`` builds one block per pass, the full
+    128x64 grid (7 sigma_x, 7 sigma_y) one block per sigma_x, and a grid of
+    two sigma_y one block per sigma_y, which still picks the float64 scan's
+    cell."""
+    built, block = [], features.ScoreBlock
+
+    def counted(img, *axes):
+        built.append(tuple(np.size(axis) for axis in axes))
+        return block(img, *axes)
+
+    monkeypatch.setattr(features, "ScoreBlock", counted)
+    img = flatten_background(gabor_packet(128, 64, 60.0, 30.0, 4.0, 3.0, 0.8))
+    grid = default_grid(128, 64)
+    two_step_optimize(img, grid)
+    assert built == [(1, len(grid.sigma_y), len(grid.lam)), (len(grid.sigma_x), 1, 1)]
+    built.clear()
+    grid_optimize(img, grid)
+    assert built == [(1, len(grid.sigma_y), len(grid.lam))] * len(grid.sigma_x)
+    built.clear()
+    axes = (grid.sigma_x, grid.sigma_y[1:3], grid.lam)
+    assert grid_optimize(img, ParamGrid(*axes)) == scan_float64(cell_scorer(img), *axes)
+    assert built == [(len(grid.sigma_x), 1, len(grid.lam))] * 2
+
 
 # ---------------------------------------------------------------------------
 # integral images and quadrants

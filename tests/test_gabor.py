@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -177,18 +178,41 @@ def test_response_norm_matches_brute_force():
     assert response_norm(img, p) == pytest.approx(brute, rel=1e-12)
 
 
-def _assert_within_margin(img, sigma_x, sigma_ys, lams):
+def _norm_oracle(img):
+    """``response_norm`` of a cell (sigma_x, sigma_y, lam) of ``img``, each
+    cell convolved once however many blocks hold it."""
+
+    @functools.cache
+    def norm(sx, sy, lam):
+        return response_norm(img, GaborParams(sx, sy, lam=lam))
+
+    return norm
+
+
+def _assert_within_margin(img, sigma_xs, sigma_ys, lams, exact=None):
     """Each single-precision norm of a block lies within its margin of the
     2-D ``response_norm`` of its cell, for the image scaled by the power of
-    two that brings its largest magnitude into [0.5, 1)."""
-    norms, margins = ScoreBlock(img, sigma_x, sigma_ys, lams).single_norms()
+    two that brings its largest magnitude into [0.5, 1).  ``exact`` is a
+    ``_norm_oracle`` of ``img`` to share between blocks."""
+    exact = exact or _norm_oracle(img)
+    norms, margins = ScoreBlock(img, sigma_xs, sigma_ys, lams).single_norms()
     assert norms.dtype == np.float32
-    assert norms.shape == margins.shape == (len(sigma_ys), len(lams))
-    exact = np.array(
-        [[response_norm(img, GaborParams(sigma_x, sy, lam=lam)) for lam in lams] for sy in sigma_ys]
+    assert norms.shape == margins.shape == (len(sigma_xs), len(sigma_ys), len(lams))
+    want = np.array(
+        [[[exact(sx, sy, lam) for lam in lams] for sy in sigma_ys] for sx in sigma_xs]
     )
     _, exp = math.frexp(np.abs(img.data).max())
-    assert np.all(np.abs(norms - np.ldexp(exact, -exp)) <= margins)
+    assert np.all(np.abs(norms - np.ldexp(want, -exp)) <= margins)
+
+
+def _assert_blocks_within_margin(img, sigma_xs, sigma_ys, lams):
+    """Both orientations: a block per sigma_x over every sigma_y (x filtered
+    first), and a block per sigma_y over every sigma_x (y filtered first)."""
+    exact = _norm_oracle(img)
+    for sx in sigma_xs:
+        _assert_within_margin(img, (sx,), sigma_ys, lams, exact)
+    for sy in sigma_ys:
+        _assert_within_margin(img, sigma_xs, (sy,), lams, exact)
 
 
 @pytest.mark.parametrize("width,height", [(96, 48), (128, 64), (160, 80), (192, 96)])
@@ -196,37 +220,50 @@ def test_block_scores_match_response_norm(width, height):
     rng = np.random.default_rng(width)
     img = flatten_background(GrayImage(rng.random((height, width))))
     grid = default_grid(width, height)
-    for sx in grid.sigma_x:
-        _assert_within_margin(img, sx, grid.sigma_y, grid.lam)
+    _assert_blocks_within_margin(img, grid.sigma_x, grid.sigma_y, grid.lam)
 
 
 def test_block_scores_half_height_beyond_image():
     """sigma_y=5 needs 15 rows of padding on each side of a 12-row image."""
     rng = np.random.default_rng(12)
     img = GrayImage(rng.standard_normal((12, 40)))
-    for sx in (1.5, 4.0):
-        _assert_within_margin(img, sx, (1.0, 2.0, 5.0), (0.0, 0.5, 2.0))
+    _assert_blocks_within_margin(img, (1.5, 4.0), (1.0, 2.0, 5.0), (0.0, 0.5, 2.0))
+
+
+def test_block_scores_half_width_beyond_image():
+    """sigma_x=5 needs 15 columns of padding on each side of a 12-column image."""
+    rng = np.random.default_rng(12)
+    img = GrayImage(rng.standard_normal((40, 12)))
+    _assert_blocks_within_margin(img, (1.0, 2.0, 5.0), (1.5, 4.0), (0.0, 0.5, 2.0))
 
 
 def test_block_scores_size_error_matches_convolve():
     img = GrayImage(np.ones((6, 10)))
     for sx in (1.0, 3.0, 4.0, 6.0):
         for sy in (1.0, 2.0, 3.0, 4.0):
+            blocks = (((sx,), (1.0, sy)), ((1.0, sx), (sy,)))
             try:
                 convolve(img, make_kernel(GaborParams(sx, sy, lam=0.5), dc_correct=True))
             except SizeError:
-                with pytest.raises(SizeError):
-                    ScoreBlock(img, sx, (1.0, sy), (0.5,))
+                for sigma_xs, sigma_ys in blocks:
+                    with pytest.raises(SizeError):
+                        ScoreBlock(img, sigma_xs, sigma_ys, (0.5,))
             else:
-                ScoreBlock(img, sx, (1.0, sy), (0.5,))
+                for sigma_xs, sigma_ys in blocks:
+                    ScoreBlock(img, sigma_xs, sigma_ys, (0.5,))
 
 
 def test_block_scores_rejects_invalid_cells():
     img = GrayImage(np.ones((12, 12)))
-    with pytest.raises(ConfigError):
-        ScoreBlock(img, 1.0, (1.0, -2.0), (0.5,))
-    with pytest.raises(ConfigError):
-        ScoreBlock(img, 1.0, (1.0,), (0.5, float("nan")))
+    for sigma_xs, sigma_ys, lams in (
+        ((1.0,), (1.0, -2.0), (0.5,)),
+        ((1.0,), (1.0,), (0.5, float("nan"))),
+        ((1.0, -2.0), (1.0,), (0.5,)),
+        ((1.0, 2.0), (1.0,), (0.5, float("nan"))),
+        ((1.0, 2.0), (1.0, 2.0), (0.5,)),
+    ):
+        with pytest.raises(ConfigError):
+            ScoreBlock(img, sigma_xs, sigma_ys, lams)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
@@ -240,5 +277,8 @@ def test_single_norms_lie_within_their_margin(scale):
     flat = flatten_background(GrayImage(rng.random((64, 128))))
     for img in (flat, GrayImage(1e4 + 0.01 * rng.standard_normal((64, 128)))):
         img = GrayImage(scale * img.data)
+        exact = _norm_oracle(img)
         for sx in (grid.sigma_x[0], grid.sigma_x[-1]):
-            _assert_within_margin(img, sx, grid.sigma_y, grid.lam)
+            _assert_within_margin(img, (sx,), grid.sigma_y, grid.lam, exact)
+        for sy in (grid.sigma_y[0], grid.sigma_y[-1]):
+            _assert_within_margin(img, grid.sigma_x, (sy,), grid.lam, exact)
