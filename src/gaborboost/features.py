@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import FeatureRow, GrayImage, LabeledDataset
 from .errors import ConfigError, SizeError
-from .gabor import GaborParams, ScoreBlock, convolve, make_kernel
+from .gabor import GaborParams, cell_norms, convolve, make_kernel
 from .util import parallel_map, running_median
 
 # Quadrant ratios are guarded against empty quadrants by this epsilon.
@@ -89,8 +89,8 @@ def _scan(
     sigma_ys: tuple[float, ...],
     lams: tuple[float, ...],
 ) -> GridResult:
-    """Best cell of the product of three axes, screened in one ``ScoreBlock``
-    per sigma of the axis with fewer sigmas, x on a tie.
+    """Best cell of the product of three axes, screened in one ``cell_norms``
+    call.
 
     A cell scores the norm of its ``convolve`` field times
     (sigma_x * sigma_y)**0.25.  The raw norm grows monotonically as either
@@ -101,24 +101,18 @@ def _scan(
     matches the packet sigma.  The search returns the first cell of
     highest score in (sigma_x, sigma_y, lam) order, every axis ascending.
 
-    Every cell is first scored in single precision, with a margin its error
-    cannot exceed (``ScoreBlock.single_norms``).  Only a cell whose score
-    plus margin reaches the best score minus margin can be the best.  A
-    lone such candidate wins outright; several are rescored with
-    ``convolve`` and the first maximum wins.  If a single-precision score
-    is not finite, every cell is rescored.  An all-zero image has an
-    all-zero field in every cell, so its first cell wins unscored.
+    Every cell is first scored from the image's cosine spectrum, with a
+    margin its gap to the ``convolve`` norm cannot exceed.  Only a cell
+    whose score plus margin reaches the best score minus margin can be the
+    best.  A lone such candidate wins outright; several are rescored with
+    ``convolve`` and the first maximum wins.  If a screen score is not
+    finite, every cell is rescored.  An all-zero image has an all-zero
+    field in every cell, so its first cell wins unscored.
     """
-    # A block filters along its one sigma's axis once for all its cells, so
-    # splitting along the axis with fewer sigmas makes the fewest blocks.
-    if len(sigma_xs) <= len(sigma_ys):
-        axis, blocks = 0, [ScoreBlock(img, (sx,), sigma_ys, lams) for sx in sigma_xs]
-    else:
-        axis, blocks = 1, [ScoreBlock(img, sigma_xs, (sy,), lams) for sy in sigma_ys]
+    norms, margins = cell_norms(img, sigma_xs, sigma_ys, lams)
     cells = [(sx, sy, lam) for sx in sigma_xs for sy in sigma_ys for lam in lams]
     if not img.data.any():
         return GridResult(*cells[0], evaluations=len(cells))
-    norms, margins = (np.concatenate(parts, axis) for parts in zip(*(b.single_norms() for b in blocks)))
     factor = np.array([[(sx * sy) ** 0.25 for sy in sigma_ys] for sx in sigma_xs])[:, :, None]
     scores, margins = (norms * factor).ravel(), (margins * factor).ravel()
     floor = float((scores - margins).max()) if np.isfinite(scores).all() else -math.inf

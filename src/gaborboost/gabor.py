@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, fftn, ifft, ifftn, next_fast_len
+from scipy.fft import dctn, fft, fftn, ifftn, next_fast_len
 
 from .dataio import GrayImage
 from .errors import ConfigError, SizeError
@@ -76,7 +76,7 @@ def _check_extent(kh: int, kw: int, img: GrayImage) -> None:
 
 def convolve(img: GrayImage, kernel: np.ndarray) -> np.ndarray:
     """Same-size FFT convolution of ``img`` with the odd-sized ``kernel``;
-    borders use symmetric padding, as in ``ScoreBlock``.
+    borders use symmetric padding, which ``cell_norms`` relies on.
 
     The steps and transform sizes are those of
     ``scipy.signal.fftconvolve(padded, kernel, mode="valid")`` for complex
@@ -92,152 +92,130 @@ def convolve(img: GrayImage, kernel: np.ndarray) -> np.ndarray:
     return out[kh - 1 : padded.shape[0], kw - 1 : padded.shape[1]].copy()
 
 
-# Margins of single-precision field norms (see ``ScoreBlock.single_norms``):
-# a relative part, 200 times the worst relative error seen on the 600
-# reference images (5e-7), and the constant K of the a priori error bound,
-# of which the worst error seen there reached 0.2%.
-SINGLE_REL_MARGIN = 1e-4
-SINGLE_ERROR_K = 16.0
+# Margins of ``cell_norms``, each an a priori bound on the gap between its
+# norm and the ``convolve`` field norm (u = 2**-53 throughout):
+# - SCREEN_ERROR_K bounds every error that scales with ||image|| *
+#   ||kernel||_1 by K * u * log2(256 * H * W) times that product.  Per
+#   transform of length N the error is at most about 6.7 u log2 N of its
+#   input's 2-norm (Higham, "Accuracy and stability of numerical
+#   algorithms", section 24.1), and 256 * H * W exceeds every length used.
+#   ``convolve``'s three transforms (about 20) act on the padded image,
+#   whose norm is at most 4 ||image|| because no pixel appears more than 4
+#   times per axis (80), and its kernel's rounding adds about 20; the
+#   screen's DCT and axis spectra add about 14 each, through
+#   |kernel spectrum| <= ||kernel||_1 and Parseval.  About 130 in all,
+#   doubled.  The worst error seen, on unflattened offset images, was 0.05
+#   of the bound with K = 1.
+# - SCREEN_REL_MARGIN covers what scales with the norm itself: the
+#   square roots, products and constant factors of both sides.  The worst
+#   relative gap seen between the screen and ``convolve``, over every cell
+#   of the full grid on 60 reference images, was 4.9e-15, so the floor is
+#   200 times that.
+# - The three-term energy sum is rounded as a sum of H + W products per
+#   term: its error is below gamma * sum((|a b| + |c e|)**2 * P), with
+#   gamma = 2 (H + W + 16) u, the 16 covering the rounding of its factors
+#   and the 2 the 1 / (1 - m u) of the textbook gamma_m.
+SCREEN_ERROR_K = 256.0
+SCREEN_REL_MARGIN = 1e-12
 
 
-def _factor(sigma: float, h: int, lams: tuple[float, ...], along_x: bool):
-    """One axis's factor of a theta=0 kernel over offsets [-h..h]: its
-    envelope, its rows (a complex carrier per lam along x, the envelope
-    itself along y) and the mean of each row's real part."""
-    d = np.arange(-h, h + 1, dtype=np.float64)
-    env = np.exp(-(d**2) / (2.0 * sigma**2))
-    if not along_x:
-        return env, env[None], env.mean()
-    lam_col = np.asarray(lams, dtype=np.float64)[:, None]
-    return env, env * np.exp(1j * lam_col * d), (env * np.cos(lam_col * d)).mean(axis=1)
+def _axis_factors(sigmas: tuple[float, ...], lams: tuple[float, ...], n: int):
+    """One axis's factors of the theta=0 kernels, as real spectra over the
+    axis's period 2n, each divided by sigma: the envelope times each carrier
+    ``exp(1j * lam * d)``, and its DC correction, the mean of that row's
+    real part times the support's box, both of shape (len(sigmas),
+    len(lams), 2n); and each envelope's sum over sigma, of shape
+    (len(sigmas),).
 
-
-class ScoreBlock:
-    """Single-precision field norms of a block of theta=0, DC-corrected
-    kernels, the parameter search's screen: the cells that share one sigma
-    on the axis the block filters first.  A block holds one sigma_x, or
-    several and one sigma_y; any other shape is a ``ConfigError``.
-
-    Cell [i, j, k] is the kernel ``make_kernel(GaborParams(sigma_xs[i],
-    sigma_ys[j], lam=lams[k]), dc_correct=True)``.  At theta=0 it factors
-    as ``norm * outer(gy, gx) - c``: a real vertical Gaussian ``gy``, a
-    complex horizontal carrier ``gx``, and the DC-correction constant ``c
-    = norm * mean(Re gx) * mean(gy)``.  So a block needs only 1-D
-    transforms: a block of one sigma_x filters along x with every carrier,
-    then along y with every sigma_y; a block of one sigma_y filters along y
-    once, then along x with every (sigma_x, lam) carrier, by the same code
-    on swapped axes.  The constant term is a box sum of the padded image.
-
-    The constructor validates every cell, raising ``SizeError`` exactly when
-    ``convolve`` would for some kernel of the block, and builds what the
-    cells share: the padding by the block's largest second-axis half
-    support, the transform lengths, the kernel spectra and the box sums.
-    ``single_norms`` scores every cell, with a margin per cell that its
-    error cannot exceed; the search rescores close calls with ``convolve``.
+    A support wider than the period wraps onto it.  The DFT of the wrapped
+    taps at bin k is the DFT of the unwrapped taps over m periods at bin
+    m k, so every row is transformed unwrapped, in one call.
     """
+    sig = np.asarray(sigmas, dtype=np.float64)[:, None]
+    halves = np.array([math.ceil(SUPPORT_SIGMAS * s) for s in sigmas])[:, None]
+    d = np.arange(-halves.max(), halves.max() + 1)
+    box = np.abs(d) <= halves
+    env = np.where(box, np.exp(-(d**2) / (2.0 * sig**2)), 0.0) / sig
+    rows = env[:, None] * np.exp(1j * np.multiply.outer(lams, d))
+    m = -(-d.size // (2 * n))
+    placed = np.zeros((len(sigmas), len(lams) + 1, 2 * n * m), dtype=np.complex128)
+    placed[:, :-1, d % (2 * n * m)] = rows
+    placed[:, -1, d % (2 * n * m)] = box
+    spectra = fft(placed, axis=2)[:, :, ::m].real
+    means = rows.real.sum(axis=2, keepdims=True) / (2 * halves[:, :, None] + 1)
+    return spectra[:, :-1], means * spectra[:, -1:], env.sum(axis=1)
 
-    def __init__(
-        self,
-        img: GrayImage,
-        sigma_xs: tuple[float, ...],
-        sigma_ys: tuple[float, ...],
-        lams: tuple[float, ...],
-    ) -> None:
-        for sx in sigma_xs:
-            for sy in sigma_ys:
-                for lam in lams:
-                    GaborParams(sigma_x=sx, sigma_y=sy, lam=lam)
-        hh, hw = (math.ceil(SUPPORT_SIGMAS * max(sigmas)) for sigmas in (sigma_ys, sigma_xs))
-        _check_extent(2 * hh + 1, 2 * hw + 1, img)
-        x_first = len(sigma_xs) == 1
-        if not x_first and len(sigma_ys) != 1:
-            raise ConfigError("a block holds one sigma_x or one sigma_y")
-        self.shape = (len(sigma_xs), len(sigma_ys), len(lams))
-        # The image is worked on with axis 0 the axis filtered first, so the
-        # second-axis transforms, the most numerous, run along the
-        # contiguous axis.  Output index i reads padded i .. i + 2*h, which
-        # is also what the circular convolution at index i + 2*h reads, so
-        # the padded length never wraps.
-        data = img.data.T if x_first else img.data
-        sigma1, sigmas2 = (sigma_xs[0], sigma_ys) if x_first else (sigma_ys[0], sigma_xs)
-        self.n1, self.n2 = n1, n2 = data.shape
-        self.h1 = h1 = math.ceil(SUPPORT_SIGMAS * sigma1)
-        self.h2s = [math.ceil(SUPPORT_SIGMAS * s) for s in sigmas2]
-        self.h2max = h2max = max(self.h2s)
 
-        self.pad1 = data[_symmetric_map(n1, h1)]
-        self.len1 = next_fast_len(n1 + 2 * h1)
-        self.map2 = _symmetric_map(n2, h2max)
-        self.len2 = next_fast_len(n2 + 2 * h2max)
+def cell_norms(
+    img: GrayImage,
+    sigma_xs: tuple[float, ...],
+    sigma_ys: tuple[float, ...],
+    lams: tuple[float, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``convolve`` field norm of every theta=0, DC-corrected cell of
+    the product grid, and a margin per cell that its gap to that norm cannot
+    exceed, both of shape (sigma_x, sigma_y, lam): the parameter search's
+    screen.  Cell [i, j, k] is the kernel ``make_kernel(GaborParams(
+    sigma_xs[i], sigma_ys[j], lam=lams[k]), dc_correct=True)``.  The grid
+    is validated first: a ``ConfigError`` if ``GaborParams`` would reject
+    some cell, a ``SizeError`` if ``convolve`` would.
 
-        # Kernel factors and their spectra in float64, rounded to single
-        # precision once built; the error bound covers that rounding.  The
-        # factor norm goes into the second axis's spectra.
-        env1, rows1, mean1 = _factor(sigma1, h1, lams, x_first)
-        self.env1_sum = env1.sum()
-        self.hat1 = fft(rows1, self.len1, axis=1).astype(np.complex64)
-        self.sums2, self.hats2, self.dc = [], [], []
-        for s, h in zip(sigmas2, self.h2s):
-            env, rows, mean = _factor(s, h, lams, not x_first)
-            sx, sy = (sigma1, s) if x_first else (s, sigma1)
-            norm = 1.0 / (math.sqrt(2.0 * math.pi) * sx * sy)
-            self.sums2.append(norm * env.sum())
-            # Shape (rows, 1, len2), to broadcast over the first axis's lines.
-            self.hats2.append(fft(norm * rows, self.len2, axis=1).astype(np.complex64)[:, None])
-            self.dc.append((norm * mean * mean1).astype(np.float32))
+    No field is computed.  The symmetric padding makes the field a window
+    of a circular convolution of the image's 2H x 2W even extension with
+    the kernel wrapped onto that period, whose squared magnitude is even
+    along both axes, so the window holds a quarter of the period's energy.
+    By Parseval that is a sum over the extension's spectrum, whose power is
+    ``P = dctn(image, type=2)**2`` folded: ky and 2H - ky share a bin, and
+    so do kx and 2W - kx, the carrier's two sidebands.  The kernel's
+    spectrum is ``a(ky) b(kx) - c(ky) e(kx)``, the envelope times carrier
+    less the DC box, all real, so the energy is three bilinear forms
+    ``A P B^T`` with A rows per sigma_y and B rows per (sigma_x, lam).  The
+    kernel sums to zero, so P[0, 0] contributes nothing and is dropped.
 
-        # Box sums of the padded image over the kernel support, for the DC
-        # term: width-(2*h1+1) sums along axis 0, then cumulated along axis
-        # 1.  Both cumulative sums start with a zero, so every box is one
-        # difference.
-        csum = np.zeros((n1 + 2 * h1 + 1, n2 + 2 * h2max))
-        np.cumsum(self.pad1[:, self.map2], axis=0, out=csum[1:])
-        self.csum2 = np.zeros((n1, n2 + 2 * h2max + 1))
-        np.cumsum(csum[2 * h1 + 1 :] - csum[:n1], axis=1, out=self.csum2[:, 1:])
+    Both are for the image times ``2**-e``, the power of two that brings
+    its largest magnitude into [0.5, 1).  That scaling is exact, so the
+    norms' ratios, and the search's decisions, do not depend on the image's
+    scale.  The margin is ``SCREEN_REL_MARGIN`` times the norm, plus
+    ``SCREEN_ERROR_K * u * log2(256 H W) * ||image|| * ||kernel||_1``, with
+    ``||kernel||_1 <= 2 * norm * sum(gy) * sum(env_x)`` because the DC term
+    obeys ``|c| * (2*hh+1) * (2*hw+1) <= norm * sum(gy) * sum(env_x)``, plus
+    the widening of the square root by the energy sum's rounding bound.
+    """
+    # A cell is invalid exactly when one of its values is, so each value is
+    # checked once, beside valid ones.
+    for sx in sigma_xs:
+        GaborParams(sigma_x=sx, sigma_y=1.0)
+    for sy in sigma_ys:
+        GaborParams(sigma_x=1.0, sigma_y=sy)
+    for lam in lams:
+        GaborParams(sigma_x=1.0, sigma_y=1.0, lam=lam)
+    hh, hw = (math.ceil(SUPPORT_SIGMAS * max(sigmas)) for sigmas in (sigma_ys, sigma_xs))
+    _check_extent(2 * hh + 1, 2 * hw + 1, img)
+    height, width = img.height, img.width
+    _, e = math.frexp(float(np.abs(img.data).max()))
+    data = np.ldexp(img.data, -e)
+    power = np.square(dctn(data, type=2)) / (16.0 * height * width)
+    power[0, 0] = 0.0
 
-    def single_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every cell's field norm in single precision, and a margin that
-        its error cannot exceed, both of the block's shape (sigma_x,
-        sigma_y, lam).
+    ya, yc, ysum = _axis_factors(sigma_ys, (0.0,), height)
+    xb, xe, xsum = _axis_factors(sigma_xs, lams, width)
+    # Bins ky and 2H - ky have the same y spectra, so every bin but 0 counts
+    # twice; bins kx and 2W - kx, the carrier's two sidebands, share P[:, kx].
+    a, c = (f[:, 0, :height] / math.sqrt(2.0 * math.pi) for f in (ya, yc))
+    weight = np.full(height, 2.0)
+    weight[0] = 1.0
+    rows = weight * np.stack([a * a, a * c, c * c, np.abs(a * c)])
+    sides = np.stack([xb * xb, xb * xe, xe * xe, np.abs(xb * xe)]).reshape(4, -1, 2 * width)
+    cols = sides[:, :, :width].copy()
+    cols[:, :, 1:] += sides[:, :, : width : -1]
+    shape = (4, len(sigma_ys), len(sigma_xs), len(lams))
+    terms = (rows @ power @ cols.transpose(0, 2, 1)).reshape(shape).transpose(0, 2, 1, 3)
+    energy = np.maximum(terms[0] - 2.0 * terms[1] + terms[2], 0.0)
+    rounding = 2.0 * (height + width + 16) * 2.0**-53 * (terms[0] + 2.0 * terms[3] + terms[2])
 
-        Both are for the image times ``2**-e``, the power of two that brings
-        its largest magnitude into [0.5, 1).  That scaling is exact, so no
-        image overflows or underflows float32 and the norms' ratios do not
-        depend on the image's scale.  The margin is the larger of
-        ``SINGLE_REL_MARGIN`` times the norm and the a priori error bound of
-        a two-stage FFT convolution, ``SINGLE_ERROR_K * 2**-24 * log2(nx *
-        ny) * ||padded image||_2 * ||kernel||_1``, with ``||kernel||_1 <= 2
-        * norm * sum(gy) * sum(env_x)`` because the DC term obeys ``|c| *
-        (2*hh+1) * (2*hw+1) <= norm * sum(gy) * sum(env_x)``.  The relative
-        part alone would not do: float32 noise on a near-zero field, such as
-        an unflattened constant image's, differs between cells by far more
-        than 1e-4 of it.  A non-finite norm has no margin.
-        """
-        _, e = math.frexp(float(np.abs(self.pad1).max()))
-        scaled = np.ldexp(self.pad1, -e)
-        csum2 = np.ldexp(self.csum2, -e)
-        h1, h2max, n1, n2 = self.h1, self.h2max, self.n1, self.n2
-        # First axis: filter the padded lines with every first-axis kernel.
-        spec1 = fft(scaled.astype(np.float32), self.len1, axis=0)
-        field1 = ifft(spec1[None] * self.hat1[:, :, None], axis=1)
-        # Second axis: the symmetric padding by a smaller half support is a
-        # crop of the padding by h2max, so one transform per field serves
-        # every second-axis sigma.  Output j reads padded j + top .. j +
-        # top + 2*h, with top = h2max - h.
-        spectra2 = fft(field1[:, 2 * h1 : 2 * h1 + n1, self.map2], self.len2, axis=2)
-        norms = np.empty((len(self.h2s), len(self.dc[0])), dtype=np.float32)
-        for i, h in enumerate(self.h2s):
-            top = h2max - h
-            stop = top + 2 * h + 1
-            # Differenced in float64, then rounded: the margins were calibrated so.
-            box = (csum2[:, stop : stop + n2] - csum2[:, top : top + n2]).astype(np.float32)
-            field = ifft(spectra2 * self.hats2[i], axis=2, overwrite_x=True)[:, :, stop - 1 : stop - 1 + n2]
-            field -= self.dc[i][:, None, None] * box
-            norms[i] = np.sqrt((field.real**2 + field.imag**2).sum(axis=(1, 2)))
-
-        counts = np.bincount(self.map2, minlength=n2)
-        pad_norm = math.sqrt(float(np.square(scaled).sum(axis=0) @ counts))
-        unit = SINGLE_ERROR_K * 2.0**-24 * math.log2(self.len1 * self.len2) * pad_norm
-        bounds = unit * 2.0 * np.array(self.sums2) * self.env1_sum
-        margins = np.maximum(SINGLE_REL_MARGIN * norms, bounds[:, None])
-        return norms.reshape(self.shape), margins.reshape(self.shape)
+    norms = np.sqrt(energy)
+    image_norm = math.sqrt(float(np.square(data).sum()))
+    unit = SCREEN_ERROR_K * 2.0**-53 * math.log2(256.0 * height * width) * image_norm
+    kernel_l1 = 2.0 * np.multiply.outer(xsum, ysum / math.sqrt(2.0 * math.pi))[:, :, None]
+    widening = np.sqrt(energy + rounding) - np.sqrt(np.maximum(energy - rounding, 0.0))
+    return norms, SCREEN_REL_MARGIN * norms + unit * kernel_l1 + widening

@@ -70,8 +70,8 @@ def scan_float64(
     lams: tuple[float, ...],
 ) -> GridResult:
     """First cell of highest ``score`` over the product of three axes, every
-    cell scored: the reference for ``features._scan``, which screens in
-    single precision first."""
+    cell scored: the reference for ``features._scan``, which screens every
+    cell first."""
     cells = [(sx, sy, lam) for sx in sigma_xs for sy in sigma_ys for lam in lams]
     best, best_score = cells[0], -math.inf
     for cell in cells:

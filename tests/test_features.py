@@ -226,8 +226,8 @@ def _count_rescoring(monkeypatch):
 @example(case=("constant", GrayImage(np.zeros((32, 64)))))
 @example(case=("offset", GrayImage(np.full((32, 64), 5000.0))))
 def test_search_matches_float64_scan(case):
-    """Both searches pick the float64 scan's cell.  Only cells that single
-    precision cannot rule out are rescored with ``convolve``, and none when
+    """Both searches pick the float64 scan's cell.  Only cells that the
+    screen cannot rule out are rescored with ``convolve``, and none when
     one is left, so a search never rescores exactly one; on an all-zero
     image none are, and on any other constant image every cell is."""
     _, img = case
@@ -249,49 +249,67 @@ def test_search_matches_float64_scan(case):
 
 
 def test_search_rescores_every_cell_when_a_single_score_is_not_finite(monkeypatch):
-    """A NaN single-precision score gives no floor to prune by, so every
-    cell is rescored, and the float64 scan's cell still wins."""
+    """A NaN screen score gives no floor to prune by, so every cell is
+    rescored, and the float64 scan's cell still wins."""
     img = gabor_packet(64, 32, 30.0, 16.0, 4.0, 3.0, 0.8)
     grid = default_grid(64, 32)
-    single = gabor.ScoreBlock.single_norms
+    screen = features.cell_norms
 
-    def nan_first(block):
-        scores, margins = single(block)
+    def nan_first(*args):
+        scores, margins = screen(*args)
         scores[0, 0, 0] = np.nan
         return scores, margins
 
     expected = scan_float64(cell_scorer(img), grid.sigma_x, grid.sigma_y, grid.lam)
-    monkeypatch.setattr(gabor.ScoreBlock, "single_norms", nan_first)
+    monkeypatch.setattr(features, "cell_norms", nan_first)
     rescored = _count_rescoring(monkeypatch)
     assert grid_optimize(img, grid) == expected
     assert len(rescored) == grid.size
 
 
-def test_each_pass_screens_in_one_block(monkeypatch):
-    """A block holds the cells that share one sigma on the axis it filters
-    first, and the search splits its grid along the axis with fewer sigmas,
-    x on a tie: ``two_step_optimize`` builds one block per pass, the full
-    128x64 grid (7 sigma_x, 7 sigma_y) one block per sigma_x, and a grid of
-    two sigma_y one block per sigma_y, which still picks the float64 scan's
-    cell."""
-    built, block = [], features.ScoreBlock
+def test_each_pass_screens_in_one_call(monkeypatch):
+    """The whole product grid of a pass is screened by one ``cell_norms``
+    call: two per ``two_step_optimize``, one per ``grid_optimize``, whose
+    pick on a grid of two sigma_y is still the float64 scan's cell."""
+    screened, screen = [], features.cell_norms
 
     def counted(img, *axes):
-        built.append(tuple(np.size(axis) for axis in axes))
-        return block(img, *axes)
+        screened.append(tuple(np.size(axis) for axis in axes))
+        return screen(img, *axes)
 
-    monkeypatch.setattr(features, "ScoreBlock", counted)
+    monkeypatch.setattr(features, "cell_norms", counted)
     img = flatten_background(gabor_packet(128, 64, 60.0, 30.0, 4.0, 3.0, 0.8))
     grid = default_grid(128, 64)
     two_step_optimize(img, grid)
-    assert built == [(1, len(grid.sigma_y), len(grid.lam)), (len(grid.sigma_x), 1, 1)]
-    built.clear()
+    assert screened == [(1, len(grid.sigma_y), len(grid.lam)), (len(grid.sigma_x), 1, 1)]
+    screened.clear()
     grid_optimize(img, grid)
-    assert built == [(1, len(grid.sigma_y), len(grid.lam))] * len(grid.sigma_x)
-    built.clear()
+    assert screened == [(len(grid.sigma_x), len(grid.sigma_y), len(grid.lam))]
+    screened.clear()
     axes = (grid.sigma_x, grid.sigma_y[1:3], grid.lam)
     assert grid_optimize(img, ParamGrid(*axes)) == scan_float64(cell_scorer(img), *axes)
-    assert built == [(len(grid.sigma_x), 1, len(grid.lam))] * 2
+    assert screened == [(len(grid.sigma_x), 2, len(grid.lam))]
+
+
+def test_unflattened_near_constant_image_is_screened(monkeypatch):
+    """An unflattened image at a level of 5000 with noise 0.01: the level's
+    energy sits in one spectral bin, which no cell sees, so the screen
+    separates the noise-level fields and each pass rescores at most two
+    cells, and the search still picks the float64 scan's cell."""
+    rng = np.random.default_rng(44)
+    img = GrayImage(5000.0 + 0.01 * rng.standard_normal((64, 128)))
+    grid = default_grid(128, 64)
+    rescored, per_pass, scan = _count_rescoring(monkeypatch), [], features._scan
+
+    def counted(*args):
+        before = len(rescored)
+        result = scan(*args)
+        per_pass.append(len(rescored) - before)
+        return result
+
+    monkeypatch.setattr(features, "_scan", counted)
+    assert two_step_optimize(img, grid) == two_step_float64(cell_scorer(img), grid)
+    assert len(per_pass) == 2 and max(per_pass) <= 2
 
 
 # ---------------------------------------------------------------------------

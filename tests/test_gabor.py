@@ -1,15 +1,16 @@
-import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborboost.dataio import GrayImage
 from gaborboost.errors import ConfigError, SizeError
 from gaborboost.features import default_grid, flatten_background
 from gaborboost.gabor import (
     GaborParams,
-    ScoreBlock,
+    cell_norms,
     convolve,
     make_kernel,
 )
@@ -178,41 +179,21 @@ def test_response_norm_matches_brute_force():
     assert response_norm(img, p) == pytest.approx(brute, rel=1e-12)
 
 
-def _norm_oracle(img):
-    """``response_norm`` of a cell (sigma_x, sigma_y, lam) of ``img``, each
-    cell convolved once however many blocks hold it."""
-
-    @functools.cache
-    def norm(sx, sy, lam):
-        return response_norm(img, GaborParams(sx, sy, lam=lam))
-
-    return norm
-
-
-def _assert_within_margin(img, sigma_xs, sigma_ys, lams, exact=None):
-    """Each single-precision norm of a block lies within its margin of the
-    2-D ``response_norm`` of its cell, for the image scaled by the power of
-    two that brings its largest magnitude into [0.5, 1).  ``exact`` is a
-    ``_norm_oracle`` of ``img`` to share between blocks."""
-    exact = exact or _norm_oracle(img)
-    norms, margins = ScoreBlock(img, sigma_xs, sigma_ys, lams).single_norms()
-    assert norms.dtype == np.float32
+def _assert_within_margin(img, sigma_xs, sigma_ys, lams):
+    """Each screen norm lies within its margin of the 2-D ``response_norm``
+    of its cell, for the image scaled by the power of two that brings its
+    largest magnitude into [0.5, 1)."""
+    norms, margins = cell_norms(img, sigma_xs, sigma_ys, lams)
+    assert norms.dtype == margins.dtype == np.float64
     assert norms.shape == margins.shape == (len(sigma_xs), len(sigma_ys), len(lams))
     want = np.array(
-        [[[exact(sx, sy, lam) for lam in lams] for sy in sigma_ys] for sx in sigma_xs]
+        [
+            [[response_norm(img, GaborParams(sx, sy, lam=lam)) for lam in lams] for sy in sigma_ys]
+            for sx in sigma_xs
+        ]
     )
     _, exp = math.frexp(np.abs(img.data).max())
     assert np.all(np.abs(norms - np.ldexp(want, -exp)) <= margins)
-
-
-def _assert_blocks_within_margin(img, sigma_xs, sigma_ys, lams):
-    """Both orientations: a block per sigma_x over every sigma_y (x filtered
-    first), and a block per sigma_y over every sigma_x (y filtered first)."""
-    exact = _norm_oracle(img)
-    for sx in sigma_xs:
-        _assert_within_margin(img, (sx,), sigma_ys, lams, exact)
-    for sy in sigma_ys:
-        _assert_within_margin(img, sigma_xs, (sy,), lams, exact)
 
 
 @pytest.mark.parametrize("width,height", [(96, 48), (128, 64), (160, 80), (192, 96)])
@@ -220,37 +201,38 @@ def test_block_scores_match_response_norm(width, height):
     rng = np.random.default_rng(width)
     img = flatten_background(GrayImage(rng.random((height, width))))
     grid = default_grid(width, height)
-    _assert_blocks_within_margin(img, grid.sigma_x, grid.sigma_y, grid.lam)
+    _assert_within_margin(img, grid.sigma_x, grid.sigma_y, grid.lam)
 
 
 def test_block_scores_half_height_beyond_image():
-    """sigma_y=5 needs 15 rows of padding on each side of a 12-row image."""
+    """sigma_y=5 needs 15 rows of padding on each side of a 12-row image, so
+    its kernel wraps the 24-row period of the image's even extension."""
     rng = np.random.default_rng(12)
     img = GrayImage(rng.standard_normal((12, 40)))
-    _assert_blocks_within_margin(img, (1.5, 4.0), (1.0, 2.0, 5.0), (0.0, 0.5, 2.0))
+    _assert_within_margin(img, (1.5, 4.0), (1.0, 2.0, 5.0), (0.0, 0.5, 2.0))
 
 
 def test_block_scores_half_width_beyond_image():
     """sigma_x=5 needs 15 columns of padding on each side of a 12-column image."""
     rng = np.random.default_rng(12)
     img = GrayImage(rng.standard_normal((40, 12)))
-    _assert_blocks_within_margin(img, (1.0, 2.0, 5.0), (1.5, 4.0), (0.0, 0.5, 2.0))
+    _assert_within_margin(img, (1.0, 2.0, 5.0), (1.5, 4.0), (0.0, 0.5, 2.0))
 
 
 def test_block_scores_size_error_matches_convolve():
     img = GrayImage(np.ones((6, 10)))
     for sx in (1.0, 3.0, 4.0, 6.0):
         for sy in (1.0, 2.0, 3.0, 4.0):
-            blocks = (((sx,), (1.0, sy)), ((1.0, sx), (sy,)))
+            grids = (((sx,), (1.0, sy)), ((1.0, sx), (sy,)))
             try:
                 convolve(img, make_kernel(GaborParams(sx, sy, lam=0.5), dc_correct=True))
             except SizeError:
-                for sigma_xs, sigma_ys in blocks:
+                for sigma_xs, sigma_ys in grids:
                     with pytest.raises(SizeError):
-                        ScoreBlock(img, sigma_xs, sigma_ys, (0.5,))
+                        cell_norms(img, sigma_xs, sigma_ys, (0.5,))
             else:
-                for sigma_xs, sigma_ys in blocks:
-                    ScoreBlock(img, sigma_xs, sigma_ys, (0.5,))
+                for sigma_xs, sigma_ys in grids:
+                    cell_norms(img, sigma_xs, sigma_ys, (0.5,))
 
 
 def test_block_scores_rejects_invalid_cells():
@@ -260,25 +242,55 @@ def test_block_scores_rejects_invalid_cells():
         ((1.0,), (1.0,), (0.5, float("nan"))),
         ((1.0, -2.0), (1.0,), (0.5,)),
         ((1.0, 2.0), (1.0,), (0.5, float("nan"))),
-        ((1.0, 2.0), (1.0, 2.0), (0.5,)),
+        ((1.0, 2.0), (1.0, 2.0), (0.5, -0.1)),
     ):
         with pytest.raises(ConfigError):
-            ScoreBlock(img, sigma_xs, sigma_ys, lams)
+            cell_norms(img, sigma_xs, sigma_ys, lams)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
-def test_single_norms_lie_within_their_margin(scale):
-    """The single-precision norms are those of the image scaled by a power of
-    two into [0.5, 1), and each lies within its margin of the float64 norm.
-    On the unflattened offset image the field is nearly zero, so the
-    absolute error bound, not the relative part, sets the margin."""
+def test_cell_norms_lie_within_their_margin(scale):
+    """The screen's norms are those of the image scaled by a power of two
+    into [0.5, 1), and each lies within its margin of the float64 norm.  On
+    the unflattened offset image the field is nearly zero, so the a priori
+    error bound, not the relative part, sets the margin."""
     rng = np.random.default_rng(37)
     grid = default_grid(128, 64)
     flat = flatten_background(GrayImage(rng.random((64, 128))))
     for img in (flat, GrayImage(1e4 + 0.01 * rng.standard_normal((64, 128)))):
-        img = GrayImage(scale * img.data)
-        exact = _norm_oracle(img)
-        for sx in (grid.sigma_x[0], grid.sigma_x[-1]):
-            _assert_within_margin(img, (sx,), grid.sigma_y, grid.lam, exact)
-        for sy in (grid.sigma_y[0], grid.sigma_y[-1]):
-            _assert_within_margin(img, grid.sigma_x, (sy,), grid.lam, exact)
+        _assert_within_margin(GrayImage(scale * img.data), grid.sigma_x, grid.sigma_y, grid.lam)
+
+
+def _sigmas(n):
+    """Up to three ascending sigmas whose support 2*ceil(3 sigma) + 1 fits in
+    three times an extent of n, so the widest kernels wrap the 2n period of
+    the image's even extension more than once."""
+    top = ((3 * n - 1) // 2) / 3.0
+    return st.lists(st.floats(0.1, top), min_size=1, max_size=3).map(lambda s: tuple(sorted(s)))
+
+
+@st.composite
+def screen_cases(draw):
+    """An H x W image, 3 to 40 pixels per side, and a grid for it.  The
+    image is flattened random data, or an unflattened level of 1e3 to 2e4
+    with noise of 0 or 0.01, times 1, 2**-100 or 2**100."""
+    height, width = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        img = flatten_background(GrayImage(rng.random((height, width))))
+    else:
+        noise = draw(st.sampled_from((0.0, 0.01)))
+        img = GrayImage(draw(st.floats(1e3, 2e4)) + noise * rng.standard_normal((height, width)))
+    img = GrayImage(img.data * draw(st.sampled_from((1.0, 2.0**-100, 2.0**100))))
+    lams = st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3).map(lambda s: tuple(sorted(s)))
+    return img, draw(_sigmas(width)), draw(_sigmas(height)), draw(lams)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=screen_cases())
+def test_cell_norms_within_margin_on_any_extent(case):
+    """Every cell's screen norm lies within its margin of ``response_norm``,
+    on images down to 3 pixels a side, with kernels that wrap the period,
+    carriers up to the Nyquist frequency, and images far from unit scale:
+    a wrong fold, sideband or wrap shows here."""
+    _assert_within_margin(*case)
